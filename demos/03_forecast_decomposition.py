@@ -26,10 +26,9 @@ dataset = dm.generate_synthetic(spec)
 
 horizon, input_size = 48, 144
 split = dm.split_tail(dataset, val_len=96, test_len=96)
-scales = dm.median_abs_scales(split)
-train_w, _ = dm.normalize(split.train_windows(input_size, horizon), "per-series-median", scales)
-val_w, _ = dm.normalize(split.val_windows(input_size, horizon), "per-series-median", scales)
-test_w, _ = dm.normalize(split.test_windows(input_size, horizon), "per-series-median", scales)
+train_w = dm.prepared_windows(split, "train", input_size, horizon, "per-series-median")
+val_w = dm.prepared_windows(split, "val", input_size, horizon, "per-series-median")
+test_w = dm.prepared_windows(split, "test", input_size, horizon, "per-series-median")
 
 template = dm.BlockConfig(basis="midas", input_size=input_size, horizon=horizon,
                           mlp_widths=(64, 64))

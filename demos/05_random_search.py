@@ -20,9 +20,8 @@ dataset = dm.generate_synthetic(dm.SyntheticSpec(
 
 horizon, input_size = 24, 72
 split = dm.split_tail(dataset, val_len=96, test_len=0)
-scales = dm.median_abs_scales(split)
-train_w, _ = dm.normalize(split.train_windows(input_size, horizon), "per-series-median", scales)
-val_w, _ = dm.normalize(split.val_windows(input_size, horizon), "per-series-median", scales)
+train_w = dm.prepared_windows(split, "train", input_size, horizon, "per-series-median")
+val_w = dm.prepared_windows(split, "val", input_size, horizon, "per-series-median")
 
 
 def objective(assignment, trial_seed):

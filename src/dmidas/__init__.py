@@ -19,10 +19,11 @@ from .data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid,
                    generate_synthetic, load_csv, multifreq_v1, save_dataset_csv)
 from .training import (EnsembleConfig, TrainConfig, TrainResult, Window,
                        ensemble_forecast, make_windows, median_abs_scales,
-                       normalize, split_tail, train, train_ensemble)
+                       normalize, prepared_windows, split_tail, train,
+                       train_ensemble)
 from .metrics import (BenchmarkProtocol, MetricsReport, ModelSpec, mae,
                       relative_improvement, render_table, rmse, run_benchmark,
-                      seasonal_naive_forecast)
+                      score_windows, seasonal_naive_forecast)
 from .search import (Choice, IntRange, LogUniform, SearchSpace, Trial,
                      default_search_space, random_search, sample_config)
 

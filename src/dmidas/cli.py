@@ -26,9 +26,8 @@ from .model import (build_any, count_parameters, generic_twin, load_checkpoint,
                     save_checkpoint)
 from .search import default_search_space
 from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
-                       ensemble_forecast, ensemble_forecast_batch,
-                       median_abs_scales, normalize, split_tail, train,
-                       train_ensemble, write_history_csv)
+                       ensemble_forecast, ensemble_forecast_batch, prepared_windows,
+                       split_tail, train, train_ensemble, write_history_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -227,18 +226,12 @@ def _schema_from_run(config: RunConfig) -> data_mod.CsvSchema:
     )
 
 
-def _prepared_windows(config: RunConfig, dataset):
-    """Split, window and normalize per the run config; returns train/val/test sets."""
-    input_size = config.getint("model", "input_size")
-    horizon = config.getint("model", "horizon")
+def _windows(config: RunConfig, dataset, part: str, input_size: int, horizon: int):
+    """One part of the run config's tail split, windowed and normalized."""
     split = split_tail(dataset, config.getint("evaluation", "val_len"),
                        config.getint("evaluation", "test_len"))
-    mode = config.get("training", "normalization")
-    scales = median_abs_scales(split)
-    train_n, _ = normalize(split.train_windows(input_size, horizon), mode, scales)
-    val_n, _ = normalize(split.val_windows(input_size, horizon), mode, scales)
-    test_n, _ = normalize(split.test_windows(input_size, horizon), mode, scales)
-    return train_n, val_n, test_n
+    return prepared_windows(split, part, input_size, horizon,
+                            config.get("training", "normalization"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +289,9 @@ def cmd_train(args) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args, config)
     dataset = _load_dataset(args, config)
-    train_n, val_n, _ = _prepared_windows(config, dataset)
+    shape = config.getint("model", "input_size"), config.getint("model", "horizon")
+    train_n = _windows(config, dataset, "train", *shape)
+    val_n = _windows(config, dataset, "val", *shape)
 
     model_config = _model_config_from_run(config)
     train_cfg = _train_config_from_run(config, seed)
@@ -363,34 +358,16 @@ def _load_members(checkpoint_dir) -> list:
 def _evaluate_checkpoints(args, config: RunConfig, dataset) -> metrics_mod.MetricsReport:
     members = _load_members(args.checkpoints)
     horizon = members[0].horizon
-    input_size = members[0].input_size
-    split = split_tail(dataset, config.getint("evaluation", "val_len"),
-                       config.getint("evaluation", "test_len"))
-    mode = config.get("training", "normalization")
-    scales = median_abs_scales(split)
-    test_n, _ = normalize(split.test_windows(input_size, horizon), mode, scales)
-    x = np.stack([w.input for w in test_n])
-    fc = ensemble_forecast_batch(members, x)
-    records = []
-    for i, w in enumerate(test_n):
-        yhat = denormalize_forecast(w, fc[i])
-        truth = denormalize_forecast(w, w.target)
-        records.append((w.series_id, metrics_mod.mae(truth, yhat),
-                        metrics_mod.rmse(truth, yhat)))
-    cell_mae, cell_rmse = metrics_mod._aggregate(records)
-    name = config.get("model", "kind")
-    entry = metrics_mod.MetricEntry(dataset=dataset.name, horizon=horizon, model=name,
-                                    mae=cell_mae, rmse=cell_rmse, n_windows=len(records))
+    test_n = _windows(config, dataset, "test", members[0].input_size, horizon)
+    fc = ensemble_forecast_batch(members, np.stack([w.input for w in test_n]))
+    entry = metrics_mod.score_windows(test_n, fc, dataset.name, horizon,
+                                      config.get("model", "kind"))
     return metrics_mod.MetricsReport(entries=[entry])
 
 
 def _select_test_window(config: RunConfig, dataset, input_size: int, horizon: int,
                         index: int, series_id: str | None):
-    split = split_tail(dataset, config.getint("evaluation", "val_len"),
-                       config.getint("evaluation", "test_len"))
-    mode = config.get("training", "normalization")
-    scales = median_abs_scales(split)
-    windows, _ = normalize(split.test_windows(input_size, horizon), mode, scales)
+    windows = _windows(config, dataset, "test", input_size, horizon)
     if series_id is not None:
         windows = [w for w in windows if w.series_id == series_id]
         if not windows:
@@ -444,7 +421,8 @@ def search_objective(config: RunConfig, dataset):
     base_spec = _model_spec_from_config(config, config.get("model", "kind"))
     input_size = config.getint("model", "input_size")
     horizon = config.getint("model", "horizon")
-    train_n, val_n, _ = _prepared_windows(config, dataset)
+    train_n = _windows(config, dataset, "train", input_size, horizon)
+    val_n = _windows(config, dataset, "val", input_size, horizon)
 
     def objective(assignment: dict, trial_seed: int) -> float:
         params = dict(base_spec.params)

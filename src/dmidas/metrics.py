@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,7 +11,7 @@ from .data import TimeSeriesDataset
 from .errors import ConfigError, ShapeError
 from .model import MlpConfig, ModelConfig, StackConfig
 from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
-                       ensemble_forecast_batch, median_abs_scales, normalize,
+                       ensemble_forecast_batch, parallel_map, prepared_windows,
                        split_tail, train_ensemble)
 
 
@@ -196,40 +195,47 @@ def model_config_for(spec: ModelSpec, input_size: int, horizon: int):
     raise ConfigError(f"unknown model kind '{spec.kind}'")
 
 
-def _aggregate(records: list[tuple[str, float, float]]) -> tuple[float, float]:
-    """Unweighted mean over windows within a series, then over series."""
+def score_windows(windows, forecasts, dataset: str, horizon: int, model: str,
+                  keep_records: bool = False) -> MetricEntry:
+    """Score forecasts against their windows' targets, both in original units.
+
+    ``forecasts[i]`` is in the normalized units of ``windows[i]``. Per-window
+    MAE and RMSE are averaged without weights within each series, then across
+    series.
+    """
+    records = []
     by_series: dict[str, list[tuple[float, float]]] = {}
-    for sid, m, r in records:
-        by_series.setdefault(sid, []).append((m, r))
+    for w, fc in zip(windows, forecasts):
+        yhat = denormalize_forecast(w, fc)
+        truth = denormalize_forecast(w, w.target)
+        rec = (w.series_id, mae(truth, yhat), rmse(truth, yhat))
+        records.append(rec)
+        by_series.setdefault(w.series_id, []).append(rec[1:])
     maes = [float(np.mean([m for m, _ in recs])) for recs in by_series.values()]
     rmses = [float(np.mean([r for _, r in recs])) for recs in by_series.values()]
-    return float(np.mean(maes)), float(np.mean(rmses))
+    return MetricEntry(dataset=dataset, horizon=horizon, model=model,
+                       mae=float(np.mean(maes)), rmse=float(np.mean(rmses)),
+                       n_windows=len(records),
+                       window_records=records if keep_records else [])
 
 
-def _evaluate_trained(spec, horizon, input_size, split, protocol, seed):
-    records = []
+def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
+    """Train one ensemble per scope group; returns (test windows, forecasts)."""
+    windows, forecasts = [], []
     groups = [split.splits] if protocol.scope == "global" else [[sp] for sp in split.splits]
+    mode = protocol.train.normalization
     for g_idx, group in enumerate(groups):
         sub = replace(split, splits=list(group))
-        train_w = sub.train_windows(input_size, horizon, stride=1)
-        val_w = sub.val_windows(input_size, horizon)
-        test_w = sub.test_windows(input_size, horizon)
-        scales = median_abs_scales(sub)
-        mode = protocol.train.normalization
-        train_n, _ = normalize(train_w, mode, scales)
-        val_n, _ = normalize(val_w, mode, scales)
-        test_n, _ = normalize(test_w, mode, scales)
+        train_n = prepared_windows(sub, "train", input_size, horizon, mode)
+        val_n = prepared_windows(sub, "val", input_size, horizon, mode)
+        test_n = prepared_windows(sub, "test", input_size, horizon, mode)
 
         config = model_config_for(spec, input_size, horizon)
         train_cfg = replace(protocol.train, seed=seed + g_idx)
         members = train_ensemble(config, train_n, val_n, train_cfg, protocol.ensemble)
-        x_test = np.stack([w.input for w in test_n])
-        fc = ensemble_forecast_batch(members, x_test)
-        for i, w in enumerate(test_n):
-            yhat = denormalize_forecast(w, fc[i])
-            truth = denormalize_forecast(w, w.target)
-            records.append((w.series_id, mae(truth, yhat), rmse(truth, yhat)))
-    return records
+        windows.extend(test_n)
+        forecasts.extend(ensemble_forecast_batch(members, np.stack([w.input for w in test_n])))
+    return windows, forecasts
 
 
 def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
@@ -238,8 +244,7 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
     """Train and score every (model, horizon) cell; failures flag the cell only.
 
     Test windows roll over the holdout region with stride = horizon, so their
-    targets never overlap; per-window metrics are averaged within each series,
-    then across series.
+    targets never overlap; they are scored by ``score_windows``.
     """
     cells = [(spec, h) for spec in model_specs for h in horizons]
 
@@ -252,27 +257,19 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
             split = split_tail(dataset, protocol.val_len, protocol.test_len)
             if spec.kind == "seasonal-naive":
                 period = int(spec.params.get("period", 1))
-                records = []
-                for w in split.test_windows(input_size, horizon):
-                    yhat = seasonal_naive_forecast(w.input, horizon, period)
-                    records.append((w.series_id, mae(w.target, yhat), rmse(w.target, yhat)))
+                windows = split.test_windows(input_size, horizon)
+                forecasts = [seasonal_naive_forecast(w.input, horizon, period)
+                             for w in windows]
             else:
-                records = _evaluate_trained(spec, horizon, input_size, split,
-                                            protocol, cell_seed)
-            cell_mae, cell_rmse = _aggregate(records)
-            return MetricEntry(dataset=dataset.name, horizon=horizon, model=spec.name,
-                               mae=cell_mae, rmse=cell_rmse, n_windows=len(records),
-                               window_records=records if keep_forecasts else [])
+                windows, forecasts = _forecast_trained(spec, horizon, input_size, split,
+                                                       protocol, cell_seed)
+            return score_windows(windows, forecasts, dataset.name, horizon, spec.name,
+                                 keep_records=keep_forecasts)
         except Exception as exc:
             return MetricEntry(dataset=dataset.name, horizon=horizon, model=spec.name,
                                mae=None, rmse=None, error=str(exc))
 
-    tasks = list(zip(cells, range(len(cells))))
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(run_cell, tasks))
-    else:
-        entries = [run_cell(t) for t in tasks]
+    entries = parallel_map(run_cell, list(zip(cells, range(len(cells)))), jobs)
     return MetricsReport(entries=entries)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import engine
 from .blocks import Block, BlockConfig, PoolSpec
 from .engine import GradientTape
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .params import ParameterStore, uniform_fan_in
 
 CHECKPOINT_VERSION = 1
@@ -446,12 +446,17 @@ def save_checkpoint(model, path) -> None:
     }
     arrays = {"p:" + name: p.value.astype("<f8") for name, p in model.params.items()}
     meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, __meta__=meta_bytes, **arrays)
+    with open(path, "wb") as handle:  # a file object keeps np.savez from adding ".npz"
+        np.savez(handle, __meta__=meta_bytes, **arrays)
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint, validating version, names and shapes."""
-    with np.load(path) as npz:
+    try:
+        npz = np.load(path)
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint '{path}': {exc}") from None
+    with npz:
         if "__meta__" not in npz:
             raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
         meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))

@@ -120,17 +120,20 @@ class OptimizerState:
 
 def adam_step(store: ParameterStore, state: OptimizerState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
-    """One bias-corrected Adam update in place; missing grads count as zero."""
+    """One bias-corrected Adam update in place; missing grads count as zero.
+
+    Every grad is checked before anything changes, so a non-finite grad
+    leaves the params and ``state`` as they were.
+    """
+    for name, p in store.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, p in store.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.value)
-        elif not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter '{name}'")
+        g = p.grad if p.grad is not None else np.zeros_like(p.value)
         m = state.m.setdefault(name, np.zeros_like(p.value))
         v = state.v.setdefault(name, np.zeros_like(p.value))
         m *= beta1

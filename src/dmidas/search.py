@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import time
@@ -11,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingError
+from .training import parallel_map
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,7 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
         return Trial(index=index, config=config, val_mae=val, seed=trial_seed,
                      status=status, wall_time=time.perf_counter() - start)
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(run_trial, drawn))
-    else:
-        trials = [run_trial(t) for t in drawn]
+    trials = parallel_map(run_trial, drawn, jobs)
 
     best = None
     for t in trials:

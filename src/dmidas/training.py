@@ -128,17 +128,16 @@ class SplitDataset:
         for sp in self.splits:
             lo = sp.train_end if lo_attr == "val" else sp.val_end
             hi = sp.val_end if lo_attr == "val" else len(sp.series.values)
-            v = sp.series.values
-            t0 = lo
-            while t0 + horizon <= hi:
-                if t0 < input_size:
-                    raise DataError(f"series '{sp.series.id}' has too little history "
-                                    f"before its {lo_attr} region for {input_size} lags")
-                out.append(Window(series_id=sp.series.id,
-                                  input=v[t0 - input_size:t0].copy(),
-                                  target=v[t0:t0 + horizon].copy(),
-                                  t_start=t0 - input_size))
-                t0 += stride
+            if lo + horizon > hi:
+                continue
+            if lo < input_size:
+                raise DataError(f"series '{sp.series.id}' has too little history "
+                                f"before its {lo_attr} region for {input_size} lags")
+            windows = make_windows(sp.series.values[lo - input_size:hi], input_size,
+                                   horizon, stride, series_id=sp.series.id)
+            for w in windows:
+                w.t_start += lo - input_size
+            out.extend(windows)
         return out
 
     def val_windows(self, input_size: int, horizon: int, stride: int | None = None) -> list[Window]:
@@ -146,12 +145,6 @@ class SplitDataset:
 
     def test_windows(self, input_size: int, horizon: int, stride: int | None = None) -> list[Window]:
         return self._holdout_windows(input_size, horizon, stride or horizon, "test")
-
-    def train_values(self, series_id: str) -> np.ndarray:
-        for sp in self.splits:
-            if sp.series.id == series_id:
-                return sp.series.values[:sp.train_end]
-        raise DataError(f"no series with id '{series_id}' in the split")
 
 
 def split_tail(dataset: TimeSeriesDataset, val_len: int, test_len: int) -> SplitDataset:
@@ -226,6 +219,17 @@ def normalize(windows: list[Window], mode: str,
 def denormalize_forecast(window: Window, yhat: np.ndarray) -> np.ndarray:
     """Map a forecast in the window's normalized units back to original units."""
     return yhat * window.scale + window.offset
+
+
+def prepared_windows(split: SplitDataset, part: str, input_size: int, horizon: int,
+                     mode: str) -> list[Window]:
+    """Cut only ``part`` ("train", "val" or "test") of ``split`` into windows and
+    normalize them with the training-region scales of ``split``."""
+    if part not in ("train", "val", "test"):
+        raise ConfigError(f"unknown window part '{part}'")
+    windows = getattr(split, f"{part}_windows")(input_size, horizon)
+    normalized, _ = normalize(windows, mode, median_abs_scales(split))
+    return normalized
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +375,19 @@ class TrainedMember:
     seed: int
 
 
+def parallel_map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]`` in item order, on ``jobs`` threads when jobs > 1.
+
+    This is the one fan-out behind every ``--jobs`` option.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def train_ensemble(model_config, windows_train: list[Window], windows_val: list[Window],
                    train_config: TrainConfig, ensemble: EnsembleConfig,
                    jobs: int = 1) -> list[TrainedMember]:
@@ -386,25 +403,24 @@ def train_ensemble(model_config, windows_train: list[Window], windows_val: list[
             raise TrainingError(f"ensemble member (seed={seed}) failed: {exc}") from exc
         return TrainedMember(model=member, result=result, seed=seed)
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_member, seeds))
-    return [run_member(s) for s in seeds]
+    return parallel_map(run_member, seeds, jobs)
 
 
 def _member_models(members):
-    return [m.model if isinstance(m, TrainedMember) else m for m in members]
+    """The members' models; at least one, all with the same (input_size, horizon)."""
+    models = [m.model if isinstance(m, TrainedMember) else m for m in members]
+    if not models:
+        raise ConfigError("an ensemble forecast needs at least one member")
+    first = models[0]
+    for m in models[1:]:
+        if m.input_size != first.input_size or m.horizon != first.horizon:
+            raise ConfigError("ensemble members disagree on (input_size, horizon)")
+    return models
 
 
 def ensemble_forecast(members, y_in) -> np.ndarray:
     """Elementwise arithmetic mean of the member forecasts, in list order."""
     models = _member_models(members)
-    if not models:
-        raise ConfigError("ensemble_forecast needs at least one member")
-    first = models[0]
-    for m in models[1:]:
-        if m.input_size != first.input_size or m.horizon != first.horizon:
-            raise ConfigError("ensemble members disagree on (input_size, horizon)")
     acc = None
     for m in models:
         fc = m.forward(y_in).forecast

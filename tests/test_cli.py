@@ -126,6 +126,13 @@ class TestTrain:
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_jobs_zero_exit_one(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        code = main(["train", data, "--config", config, "--out", str(tmp_path / "r"),
+                     "--jobs", "0"])
+        assert code == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
     def test_does_not_mutate_input(self, workspace):
         tmp_path, config, data = workspace
         before = open(data, "rb").read()

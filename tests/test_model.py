@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmidas.blocks import BlockConfig
-from dmidas.errors import ConfigError
+from dmidas.errors import ConfigError, DataError
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
                           build_mlp_baseline, build_model, count_parameters,
                           expressivity_schedule, generic_twin, load_checkpoint,
@@ -282,6 +282,29 @@ class TestCheckpoints:
         y = np.random.default_rng(1).normal(size=6)
         np.testing.assert_array_equal(model.forward(y).forecast,
                                       restored.forward(y).forecast)
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        _, model = midas_model(seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        y = np.random.default_rng(4).normal(size=24)
+        np.testing.assert_array_equal(load_checkpoint(path).forward(y).forecast,
+                                      model.forward(y).forecast)
+
+    def test_bytes_match_numpy_savez_of_a_path(self, tmp_path):
+        _, model = midas_model(seed=5)
+        ours = tmp_path / "ours.npz"
+        save_checkpoint(model, ours)
+        with np.load(ours) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        ref = tmp_path / "ref.npz"
+        np.savez(ref, **arrays)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_missing_path_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="absent.npz"):
+            load_checkpoint(tmp_path / "absent.npz")
 
     def test_version_field_checked(self, tmp_path):
         import json

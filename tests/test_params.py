@@ -132,6 +132,17 @@ class TestAdam:
         with pytest.raises(TrainingError, match="bad_layer"):
             adam_step(store, state)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        store = make_store({"a": (np.ones(2), "weight"), "b": (np.ones(2), "weight")})
+        state = OptimizerState.for_store(store)
+        store["a"].grad = np.array([1.0, 2.0])
+        store["b"].grad = np.array([1.0, np.nan])
+        with pytest.raises(TrainingError, match="'b'"):
+            adam_step(store, state)
+        np.testing.assert_array_equal(store["a"].value, [1.0, 1.0])
+        assert state.step == 0
+        assert not state.m["a"].any() and not state.v["a"].any()
+
     def test_accumulator_shapes_mirror_parameters(self):
         store = make_store({"w": (np.ones((3, 2)), "weight"), "b": (np.ones(2), "bias")})
         state = OptimizerState.for_store(store)

@@ -9,9 +9,11 @@ from dmidas.engine import affine
 from dmidas.errors import ConfigError, DataError, TrainingError
 from dmidas.model import ModelConfig, StackConfig, build_model
 from dmidas.params import ParameterStore
-from dmidas.training import (EnsembleConfig, TrainConfig, Window, ensemble_forecast,
-                             make_windows, median_abs_scales, normalize, split_tail,
-                             train, train_ensemble, write_history_csv)
+from dmidas.training import (NORMALIZATION_MODES, EnsembleConfig, TrainConfig, Window,
+                             ensemble_forecast, ensemble_forecast_batch, make_windows,
+                             median_abs_scales, normalize, parallel_map,
+                             prepared_windows, split_tail, train, train_ensemble,
+                             write_history_csv)
 
 
 def dataset(length=200, seed=0, ids=("a",), period=12, amplitude=2.0):
@@ -106,6 +108,61 @@ class TestSplitTail:
             assert min(w.target_start for w in test_w) >= val_end
             assert max_train_target - 1 < min(w.target_start for w in val_w) \
                 < min(w.target_start for w in test_w)
+
+
+class TestHoldoutWindows:
+    def test_match_direct_slicing(self):
+        ds = dataset(length=100, ids=("a", "b"))
+        split = split_tail(ds, 20, 15)
+        for part, lo, hi in (("val", 65, 85), ("test", 85, 100)):
+            windows = getattr(split, f"{part}_windows")(10, 4, stride=3)
+            starts = list(range(lo, hi - 4 + 1, 3))
+            assert len(windows) == 2 * len(starts)
+            for w, t0 in zip(windows, starts * 2):
+                v = ds.get(w.series_id).values
+                assert w.t_start == t0 - 10
+                np.testing.assert_array_equal(w.input, v[t0 - 10:t0])
+                np.testing.assert_array_equal(w.target, v[t0:t0 + 4])
+
+    def test_horizon_longer_than_region_gives_no_windows(self):
+        split = split_tail(dataset(length=100), 20, 15)
+        assert split.test_windows(10, 16) == []
+
+    def test_too_little_history_names_series(self):
+        split = split_tail(dataset(length=100, ids=("short",)), 20, 15)
+        with pytest.raises(DataError, match="'short' has too little history"):
+            split.val_windows(70, 4)
+
+
+class TestPreparedWindows:
+    @pytest.mark.parametrize("mode", NORMALIZATION_MODES)
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_matches_split_scale_normalize(self, mode, part):
+        split = split_tail(dataset(length=150, ids=("a", "b")), 20, 20)
+        want, _ = normalize(getattr(split, f"{part}_windows")(12, 4), mode,
+                            median_abs_scales(split))
+        got = prepared_windows(split, part, 12, 4, mode)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert (g.series_id, g.t_start, g.scale, g.offset) == \
+                (w.series_id, w.t_start, w.scale, w.offset)
+            assert g.input.tobytes() == w.input.tobytes()
+            assert g.target.tobytes() == w.target.tobytes()
+
+    def test_unknown_part_rejected(self):
+        split = split_tail(dataset(length=150), 20, 20)
+        with pytest.raises(ConfigError, match="holdout"):
+            prepared_windows(split, "holdout", 12, 4, "none")
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_keeps_item_order(self, jobs):
+        assert parallel_map(lambda x: x * x, range(7), jobs) == [x * x for x in range(7)]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            parallel_map(abs, [1], 0)
 
 
 class TestNormalize:
@@ -340,6 +397,17 @@ class TestEnsembles:
         with pytest.raises(TrainingError, match="seed=1"):
             train_ensemble(self.model_config(), tn, vn, bad_cfg,
                            EnsembleConfig(n_members=2))
+
+    def test_batch_forecast_checks_members(self):
+        x = np.zeros((3, 12))
+        with pytest.raises(ConfigError, match="at least one member"):
+            ensemble_forecast_batch([], x)
+        template = BlockConfig(basis="midas", input_size=12, horizon=8, mlp_widths=(8,))
+        longer = ModelConfig(stacks=(StackConfig(1, template),), input_size=12,
+                             horizon=8, base_ratio=0.5)
+        members = [build_model(self.model_config(), 0), build_model(longer, 0)]
+        with pytest.raises(ConfigError, match="disagree"):
+            ensemble_forecast_batch(members, x)
 
     def test_shape_disagreement_rejected(self):
         tn, vn = self.setup_data()
