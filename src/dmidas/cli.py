@@ -359,7 +359,8 @@ def _evaluate_checkpoints(args, config: RunConfig, dataset) -> metrics_mod.Metri
     members = _load_members(args.checkpoints)
     horizon = members[0].horizon
     test_n = _windows(config, dataset, "test", members[0].input_size, horizon)
-    fc = ensemble_forecast_batch(members, np.stack([w.input for w in test_n]))
+    fc = (ensemble_forecast_batch(members, np.stack([w.input for w in test_n]))
+          if test_n else [])
     entry = metrics_mod.score_windows(test_n, fc, dataset.name, horizon,
                                       config.get("model", "kind"))
     return metrics_mod.MetricsReport(entries=[entry])
@@ -565,6 +566,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericsError
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -335,10 +335,14 @@ def _export_report(report, path, format: str) -> None:
 
 
 def _write_json(payload, path) -> None:
+    """Strict JSON only: a NaN or infinite value raises before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"cannot write '{path}': {exc}") from None
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
     except OSError as exc:
         raise DataError(f"cannot write '{path}': {exc}") from None
 

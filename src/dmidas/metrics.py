@@ -8,7 +8,7 @@ import numpy as np
 
 from .blocks import BlockConfig, PoolSpec
 from .data import TimeSeriesDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .model import MlpConfig, ModelConfig, StackConfig
 from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
                        ensemble_forecast_batch, parallel_map, prepared_windows,
@@ -201,8 +201,11 @@ def score_windows(windows, forecasts, dataset: str, horizon: int, model: str,
 
     ``forecasts[i]`` is in the normalized units of ``windows[i]``. Per-window
     MAE and RMSE are averaged without weights within each series, then across
-    series.
+    series. No windows is a ``DataError``: there is nothing to average.
     """
+    if not windows:
+        raise DataError(f"no test windows to score for model '{model}' at horizon "
+                        f"{horizon} on dataset '{dataset}'")
     records = []
     by_series: dict[str, list[tuple[float, float]]] = {}
     for w, fc in zip(windows, forecasts):
@@ -226,9 +229,11 @@ def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
     mode = protocol.train.normalization
     for g_idx, group in enumerate(groups):
         sub = replace(split, splits=list(group))
+        test_n = prepared_windows(sub, "test", input_size, horizon, mode)
+        if not test_n:
+            continue  # nothing to forecast; score_windows reports the empty cell
         train_n = prepared_windows(sub, "train", input_size, horizon, mode)
         val_n = prepared_windows(sub, "val", input_size, horizon, mode)
-        test_n = prepared_windows(sub, "test", input_size, horizon, mode)
 
         config = model_config_for(spec, input_size, horizon)
         train_cfg = replace(protocol.train, seed=seed + g_idx)

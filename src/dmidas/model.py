@@ -5,7 +5,10 @@ schedule expressivity ratios, count parameters and checkpoint models.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -437,7 +440,11 @@ def model_config_from_dict(d: dict):
 
 
 def save_checkpoint(model, path) -> None:
-    """Write config and every named parameter (little-endian float64) to one file."""
+    """Write config and every named parameter (little-endian float64) to one file.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it, so a
+    save that fails part way leaves any earlier checkpoint at ``path`` intact.
+    """
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": model_config_to_dict(model.config),
@@ -446,8 +453,14 @@ def save_checkpoint(model, path) -> None:
     }
     arrays = {"p:" + name: p.value.astype("<f8") for name, p in model.params.items()}
     meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as handle:  # a file object keeps np.savez from adding ".npz"
-        np.savez(handle, __meta__=meta_bytes, **arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:  # a file object keeps np.savez from adding ".npz"
+            np.savez(handle, __meta__=meta_bytes, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):

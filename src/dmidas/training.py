@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import itertools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -375,17 +378,63 @@ class TrainedMember:
     seed: int
 
 
-def parallel_map(fn, items, jobs: int) -> list:
-    """``[fn(x) for x in items]`` in item order, on ``jobs`` threads when jobs > 1.
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS in this process.
 
-    This is the one fan-out behind every ``--jobs`` option.
+    Libraries are found by path in ``/proc/self/maps``, so the list is empty
+    where that file does not exist or numpy links another BLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # scipy-openblas wheels prefix the symbols; ILP64 builds suffix them
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "_64", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def parallel_map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]`` in item order, on ``min(jobs, len(items))`` threads.
+
+    This is the one fan-out behind every ``--jobs`` option. The workers share
+    the process's cores: while more than one runs, each OpenBLAS in the
+    process is capped at ``usable_cpus // workers`` threads (at least 1, never
+    above its current count) and its count is restored on return. The cap is
+    process-wide, so BLAS calls from any other thread are capped until then.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    cap = max(1, usable_cpus // workers)
+    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    try:
+        for set_, before in saved:
+            set_(min(before, cap))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for set_, before in saved:
+            set_(before)
 
 
 def train_ensemble(model_config, windows_train: list[Window], windows_val: list[Window],

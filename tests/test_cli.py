@@ -126,19 +126,34 @@ class TestTrain:
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_jobs_zero_exit_one(self, workspace, capsys):
-        tmp_path, config, data = workspace
-        code = main(["train", data, "--config", config, "--out", str(tmp_path / "r"),
-                     "--jobs", "0"])
-        assert code == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
-
     def test_does_not_mutate_input(self, workspace):
         tmp_path, config, data = workspace
         before = open(data, "rb").read()
         main(["train", data, "--config", config, "--out", str(tmp_path / "r"),
               "--seed", "1"])
         assert open(data, "rb").read() == before
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "evaluate --checkpoints",
+                                         "forecast", "decompose", "search"])
+    def test_jobs_zero_exit_one(self, workspace, capsys, command):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", config, "--out", str(run)]) == 0
+        extra = {
+            "evaluate --checkpoints": ["--checkpoints", str(run / "checkpoints")],
+            "forecast": ["--checkpoints", str(run / "checkpoints")],
+            "decompose": ["--checkpoint", str(run / "checkpoints" / "member_0.npz")],
+            "search": ["--budget", "1"],
+        }.get(command, [])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main([command.split()[0], data, "--config", config, "--out", str(out),
+                     "--jobs", "0", *extra])
+        assert code == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
 
 
 class TestEvaluate:
@@ -164,6 +179,32 @@ class TestEvaluate:
                      "--checkpoints", str(run / "checkpoints"), "--seed", "4"]) == 0
         payload = json.loads((out / "metrics.json").read_text())
         assert "dmidas" in payload["data"]["8"]
+
+    def test_no_test_windows_is_a_strict_json_error_cell(self, workspace):
+        tmp_path, config, data = workspace
+        empty = tmp_path / "empty.ini"
+        empty.write_text(open(config).read().replace("test_len = 32", "test_len = 0")
+                         .replace("models = dmidas,seasonal-naive", "models = seasonal-naive"))
+        out = tmp_path / "eval"
+        assert main(["evaluate", data, "--config", str(empty), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+        error = payload["data"]["8"]["seasonal-naive"]["error"]
+        assert "no test windows" in error and "seasonal-naive" in error
+
+    def test_checkpoints_with_no_test_windows_exit_two(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", config, "--out", str(run)]) == 0
+        empty = tmp_path / "empty.ini"
+        empty.write_text(open(config).read().replace("test_len = 32", "test_len = 0"))
+        code = main(["evaluate", data, "--config", str(empty), "--out", str(tmp_path / "e"),
+                     "--checkpoints", str(run / "checkpoints")])
+        assert code == 2
+        assert "no test windows" in capsys.readouterr().err
 
 
 class TestForecastAndDecompose:

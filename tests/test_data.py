@@ -9,7 +9,7 @@ from dmidas.data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid
                          SyntheticSpec, TimeSeriesDataset, export_results,
                          gaussian_noise, generate_synthetic, load_csv,
                          load_decomposition_csv, multifreq_v1, save_dataset_csv)
-from dmidas.errors import ConfigError, DataError
+from dmidas.errors import ConfigError, DataError, NumericsError
 from dmidas.model import ForecastBundle
 
 
@@ -180,6 +180,15 @@ class TestExport:
         leaves = payload["ds"]["4"]
         assert set(leaves) == {"m1", "m2"}
         assert leaves["m1"] == {"mae": 1.0, "rmse": 2.0}
+
+    def test_non_finite_metric_is_not_written(self, tmp_path):
+        from dmidas.metrics import MetricEntry, MetricsReport
+
+        report = MetricsReport(entries=[MetricEntry("ds", 4, "m1", float("nan"), 2.0)])
+        path = tmp_path / "metrics.json"
+        with pytest.raises(NumericsError, match="metrics.json"):
+            export_results(report, path, "json")
+        assert not path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

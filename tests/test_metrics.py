@@ -1,15 +1,17 @@
 """Metric oracles, the naive baseline and the benchmark harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmidas.data import LinearTrend, Series, Sinusoid, SyntheticSpec, TimeSeriesDataset, generate_synthetic
-from dmidas.errors import ConfigError, ShapeError
+from dmidas.errors import ConfigError, DataError, ShapeError
 from dmidas.metrics import (BenchmarkProtocol, MetricEntry, MetricsReport, ModelSpec,
                             mae, relative_improvement, render_table, rmse,
-                            run_benchmark, seasonal_naive_forecast)
+                            run_benchmark, score_windows, seasonal_naive_forecast)
 from dmidas.training import EnsembleConfig, TrainConfig
 
 vectors = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=32)
@@ -193,6 +195,19 @@ class TestRunBenchmark:
         manual_mae = float(np.mean([np.mean([m for m, _ in recs])
                                     for recs in by_series.values()]))
         assert entry.mae == pytest.approx(manual_mae, abs=1e-15)
+
+    def test_no_test_windows_is_data_error(self):
+        with pytest.raises(DataError, match="'naive' at horizon 6 on dataset 'bench'"):
+            score_windows([], [], "bench", 6, "naive")
+
+    @pytest.mark.parametrize("kind", ["seasonal-naive", "dmidas"])
+    def test_no_test_windows_flags_the_cell(self, kind):
+        specs = [ModelSpec("m", kind, {"period": 12, "blocks_per_stack": 1,
+                                       "mlp_widths": (8,)})]
+        protocol = replace(self.protocol(), test_len=0)
+        entry = run_benchmark(self.data(), specs, [6], protocol).entries[0]
+        assert entry.mae is None and entry.rmse is None
+        assert "no test windows" in entry.error
 
     def test_failed_cell_is_flagged_and_run_continues(self):
         specs = [ModelSpec("naive", "seasonal-naive", {"period": 999}),

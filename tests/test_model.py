@@ -302,6 +302,23 @@ class TestCheckpoints:
         np.savez(ref, **arrays)
         assert ours.read_bytes() == ref.read_bytes()
 
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        import dmidas.model as model_mod
+
+        path = tmp_path / "member_0.npz"
+        save_checkpoint(midas_model(seed=1)[1], path)
+        before = path.read_bytes()
+
+        def broken_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model_mod.np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(midas_model(seed=2)[1], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["member_0.npz"]
+
     def test_missing_path_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="absent.npz"):
             load_checkpoint(tmp_path / "absent.npz")

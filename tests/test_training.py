@@ -1,5 +1,7 @@
 """Windowing, splits, normalization, the training loop and ensembles."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dmidas.data import Series, Sinusoid, SyntheticSpec, TimeSeriesDataset, gene
 from dmidas.engine import affine
 from dmidas.errors import ConfigError, DataError, TrainingError
 from dmidas.model import ModelConfig, StackConfig, build_model
+from dmidas import training
 from dmidas.params import ParameterStore
 from dmidas.training import (NORMALIZATION_MODES, EnsembleConfig, TrainConfig, Window,
                              ensemble_forecast, ensemble_forecast_batch, make_windows,
@@ -163,6 +166,62 @@ class TestParallelMap:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             parallel_map(abs, [1], 0)
+
+
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count())
+
+
+class TestBlasThreadCap:
+    """While workers run, OpenBLAS gets the cores each worker owns."""
+
+    @pytest.fixture
+    def blas(self):
+        """The getter ``parallel_map`` reads, with the count set to every usable core."""
+        controls = training._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        get, set_ = controls[0]
+        original = get()
+        set_(USABLE_CPUS)
+        yield get
+        set_(original)
+
+    @pytest.mark.parametrize("jobs, n_items", [(2, 4), (4, 2)])
+    def test_workers_read_the_cap_and_it_is_restored(self, blas, jobs, n_items):
+        seen = parallel_map(lambda _: blas(), range(n_items), jobs)
+        assert seen == [max(1, USABLE_CPUS // 2)] * n_items
+        assert blas() == USABLE_CPUS
+
+    def test_count_restored_after_fn_raises(self, blas):
+        def fail_on_one(x):
+            if x == 1:
+                raise RuntimeError("boom")
+            return x
+
+        with pytest.raises(RuntimeError, match="boom"):
+            parallel_map(fail_on_one, range(4), 2)
+        assert blas() == USABLE_CPUS
+
+    @pytest.mark.parametrize("jobs, n_items", [(1, 3), (2, 1)])
+    def test_single_worker_never_changes_the_count(self, blas, monkeypatch, jobs, n_items):
+        monkeypatch.setattr(training, "_openblas_thread_controls",
+                            lambda: pytest.fail("looked up BLAS for one worker"))
+        assert parallel_map(lambda _: blas(), range(n_items), jobs) == [USABLE_CPUS] * n_items
+
+    def test_no_openblas_gives_the_same_results(self, blas, monkeypatch):
+        rng = np.random.default_rng(0)
+        mats = [rng.normal(size=(64, 64)) for _ in range(4)]
+
+        def work(m):
+            return blas(), m @ m.T
+
+        capped = parallel_map(work, mats, 2)
+        monkeypatch.setattr(training, "_openblas_thread_controls", lambda: [])
+        uncapped = parallel_map(work, mats, 2)
+        assert [n for n, _ in uncapped] == [USABLE_CPUS] * 4
+        for (_, a), (_, b) in zip(capped, uncapped):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNormalize:
@@ -385,6 +444,18 @@ class TestEnsembles:
         parallel = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
                                   EnsembleConfig(n_members=2), jobs=2)
         for a, b in zip(serial, parallel):
+            for name in a.model.params.names():
+                assert np.array_equal(a.model.params[name].value,
+                                      b.model.params[name].value)
+
+    def test_parallel_training_without_openblas_cap_matches(self, monkeypatch):
+        tn, vn = self.setup_data()
+        capped = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
+                                EnsembleConfig(n_members=2), jobs=2)
+        monkeypatch.setattr(training, "_openblas_thread_controls", lambda: [])
+        uncapped = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
+                                  EnsembleConfig(n_members=2), jobs=2)
+        for a, b in zip(capped, uncapped):
             for name in a.model.params.names():
                 assert np.array_equal(a.model.params[name].value,
                                       b.model.params[name].value)
