@@ -106,13 +106,10 @@ class BlockConfig:
 
 @dataclass
 class BlockOutput:
-    """Everything a block emits for one input: reconstructions and coefficients."""
+    """What a block emits for one input: its backcast and its forecast."""
 
     backcast: object
     forecast: object
-    theta_f: object
-    theta_b: object
-    hidden: object
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +219,7 @@ class Block:
         else:
             forecast, backcast = midas_basis(theta_f, theta_b, cfg.horizon,
                                              cfg.input_size, tape)
-        return BlockOutput(backcast=backcast, forecast=forecast,
-                           theta_f=theta_f, theta_b=theta_b, hidden=h)
+        return BlockOutput(backcast=backcast, forecast=forecast)
 
     def label(self) -> str:
         if self.config.basis == "midas":

@@ -518,7 +518,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     p.add_argument("spec", help="preset name or synthetic spec JSON file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -149,25 +149,21 @@ def affine(x, w, b, tape: GradientTape | None = None):
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     if wv.ndim != 2 or bv.ndim != 1:
         raise ShapeError(f"affine expects matrix w and vector b, got w{wv.shape} b{bv.shape}")
-    single = xv.ndim == 1
-    x2 = xv[None, :] if single else xv
-    if x2.ndim != 2 or x2.shape[1] != wv.shape[0] or bv.shape[0] != wv.shape[1]:
+    if xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0] or bv.shape[0] != wv.shape[1]:
         raise ShapeError(f"affine shape mismatch: x{xv.shape} w{wv.shape} b{bv.shape}")
-    out2 = x2 @ wv + bv
+    # A vector is a one-row batch: the same BLAS calls serve both ranks.
+    x2 = xv.reshape(-1, wv.shape[0])
+    out = (x2 @ wv + bv).reshape(xv.shape[:-1] + bv.shape)
     need_x, need_w, need_b = (isinstance(t, Tensor) for t in (x, w, b))
 
     def backward(g):
-        g2 = g[None, :] if single else g
-        gx = None
-        if need_x:
-            gx = g2 @ wv.T
-            if single:
-                gx = gx[0]
+        g2 = g.reshape(-1, wv.shape[1])
+        gx = (g2 @ wv.T).reshape(xv.shape) if need_x else None
         gw = x2.T @ g2 if need_w else None
         gb = g2.sum(axis=0) if need_b else None
         return gx, gw, gb
 
-    return _emit(out2[0] if single else out2, (x, w, b), backward, tape, "affine")
+    return _emit(out, (x, w, b), backward, tape, "affine")
 
 
 def relu(x, tape: GradientTape | None = None):
@@ -183,12 +179,11 @@ def relu(x, tape: GradientTape | None = None):
 
 
 @lru_cache(maxsize=None)
-def _pool_indices(length: int, kernel: int, stride: int) -> tuple[Array, Array]:
+def _pool_indices(length: int, kernel: int, stride: int) -> Array:
     starts = np.arange((length - kernel) // stride + 1) * stride
     idx = starts[:, None] + np.arange(kernel)[None, :]
-    starts.setflags(write=False)
     idx.setflags(write=False)
-    return starts, idx
+    return idx
 
 
 def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
@@ -210,8 +205,7 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
     length = xv.shape[-1]
     if kernel > length:
         raise ConfigError(f"pooling kernel {kernel} exceeds input length {length}")
-    starts, idx = _pool_indices(length, kernel, stride)
-    windows = xv[..., idx]
+    windows = xv[..., _pool_indices(length, kernel, stride)]
     margin = math.inf
     if mode == "avg":
         out = windows.mean(axis=-1)
@@ -221,28 +215,20 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
             part = np.partition(windows, kernel - 2, axis=-1)
             margin = float(np.min(part[..., -1] - part[..., -2]))
     else:
-        out = xv[..., starts]
-    batched = xv.ndim == 2
+        # A contiguous copy, like the gather it replaces: BLAS rounds a
+        # strided operand differently in the next affine.
+        out = windows[..., 0].copy()
 
     def backward(g):
+        # Offset j of every window lands on the strided slice j, j+stride, ...
         gx = np.zeros_like(xv)
-        if mode == "avg":
-            vals = g[..., None] / kernel
-            if batched:
-                rows = np.arange(xv.shape[0])[:, None, None]
-                np.add.at(gx, (rows, idx[None, :, :]), vals)
-            else:
-                np.add.at(gx, idx, np.broadcast_to(vals, idx.shape))
-        else:
+        span = stride * (out.shape[-1] - 1) + 1
+        argmax = windows.argmax(axis=-1) if mode == "max" else None
+        share = g / kernel if mode == "avg" else g
+        for j in range(1 if mode == "stride" else kernel):
             if mode == "max":
-                cols = starts + windows.argmax(axis=-1)
-            else:
-                cols = np.broadcast_to(starts, g.shape)
-            if batched:
-                rows = np.arange(xv.shape[0])[:, None]
-                np.add.at(gx, (rows, cols), g)
-            else:
-                np.add.at(gx, cols, g)
+                share = np.where(argmax == j, g, 0.0)
+            gx[..., j:j + span:stride] += share
         return (gx,)
 
     return _emit(out, (x,), backward, tape, f"pool1d[{mode}]", kink_margin=margin)

@@ -241,13 +241,10 @@ class MlpForecaster:
         self.config = config
         self.params = params
 
-    @property
-    def input_size(self) -> int:
-        return self.config.input_size
-
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
+    input_size = StackedForecaster.input_size
+    horizon = StackedForecaster.horizon
+    forward = StackedForecaster.forward
+    decompose = StackedForecaster.decompose
 
     def block_labels(self) -> list[str]:
         return ["mlp"]
@@ -259,19 +256,6 @@ class MlpForecaster:
                                           self.params[f"mlp{i}.bias"], tape), tape)
         forecast = engine.affine(h, self.params["out.weight"], self.params["out.bias"], tape)
         return forecast, ([forecast] if collect else []), []
-
-    def forward(self, y_in) -> ForecastBundle:
-        y = np.asarray(y_in, dtype=np.float64)
-        if y.ndim != 1 or y.shape[0] != self.input_size:
-            raise ConfigError(f"expected an input vector of length {self.input_size}, "
-                              f"got shape {y.shape}")
-        forecast, _, _ = self.forward_batch(y)
-        fc = engine.value_of(forecast).copy()
-        return ForecastBundle(forecast=fc, components=[fc.copy()],
-                              residual_trace=[], block_labels=self.block_labels())
-
-    def decompose(self, y_in) -> ForecastBundle:
-        return self.forward(y_in)
 
 
 def build_mlp_baseline(input_size: int, horizon: int, widths, seed: int) -> MlpForecaster:

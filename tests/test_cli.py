@@ -93,6 +93,13 @@ class TestGenerate:
         main(["generate", str(spec_path), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jobs_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["generate", "multifreq-v1", "--out", str(out), "--jobs", "2"])
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_outputs_and_determinism(self, workspace):

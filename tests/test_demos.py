@@ -1,0 +1,24 @@
+"""Smoke-run the fast demos as scripts: each exits 0 in a scratch directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FAST_DEMOS = ["01_autodiff_and_gradients.py", "02_interpolation_and_scaling.py",
+              "03_forecast_decomposition.py"]
+
+
+@pytest.mark.parametrize("demo", FAST_DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    if demo.startswith("03"):
+        assert (tmp_path / "decomposition.csv").is_file()

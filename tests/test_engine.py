@@ -73,6 +73,40 @@ class TestAffine:
         report = grad_check(f, [w, b])
         assert report.passed, str(report)
 
+    def test_vector_matches_one_row_batch_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        xv, wv, bv = rng.normal(size=7), rng.normal(size=(7, 5)), rng.normal(size=5)
+        seed = rng.normal(size=5)
+        results = []
+        for x_in, g in ((xv, seed), (xv[None, :], seed[None, :])):
+            x, w, b = Tensor(x_in.copy()), Tensor(wv.copy()), Tensor(bv.copy())
+            tape = GradientTape()
+            out = affine(x, w, b, tape)
+            tape.backward(out, seed=g)
+            results.append((out.value, x.grad, w.grad, b.grad))
+        (out1, gx1, gw1, gb1), (out2, gx2, gw2, gb2) = results
+        assert out1.shape == (5,) and gx1.shape == (7,)
+        np.testing.assert_array_equal(out1, out2[0])
+        np.testing.assert_array_equal(gx1, gx2[0])
+        np.testing.assert_array_equal(gw1, gw2)
+        np.testing.assert_array_equal(gb1, gb2)
+
+
+def pool_backward_reference(x, g, kernel, stride, mode):
+    """The pool1d input adjoint as an np.add.at scatter, one row at a time."""
+    gx = np.zeros_like(x)
+    starts = np.arange(g.shape[-1]) * stride
+    idx = starts[:, None] + np.arange(kernel)[None, :]
+    for xr, gr, gxr in zip(x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1]),
+                           gx.reshape(-1, x.shape[-1])):
+        if mode == "avg":
+            np.add.at(gxr, idx, np.broadcast_to(gr[:, None] / kernel, idx.shape))
+        elif mode == "max":
+            np.add.at(gxr, starts + xr[idx].argmax(axis=1), gr)
+        else:
+            np.add.at(gxr, starts, gr)
+    return gx
+
 
 class TestRelu:
     def test_sign_cases(self):
@@ -151,6 +185,26 @@ class TestPool1d:
             row_out = engine.tsum(pool1d(row, 3, 2, mode, row_tape), row_tape)
             row_tape.backward(row_out)
             np.testing.assert_array_equal(batched.grad[i], row.grad)
+
+    @pytest.mark.parametrize("mode", ["avg", "max", "stride"])
+    @pytest.mark.parametrize("shape", [(17,), (3, 17)])
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (2, 2), (4, 4), (8, 8), (3, 2)])
+    def test_backward_matches_scatter_reference_bit_for_bit(self, mode, shape, kernel, stride):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = Tensor(rng.normal(size=shape))
+        tape = GradientTape()
+        out = pool1d(x, kernel, stride, mode, tape)
+        g = rng.normal(size=out.shape)
+        tape.backward(out, seed=g)
+        expected = pool_backward_reference(x.value, g, kernel, stride, mode)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("shape", [(24,), (3, 24)])
+    def test_stride_output_is_contiguous(self, shape):
+        # a strided view would change how the next affine's BLAS call rounds
+        out = pool1d(np.arange(float(np.prod(shape))).reshape(shape), 4, 4, "stride")
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.arange(float(np.prod(shape))).reshape(shape)[..., ::4])
 
     def test_max_tie_routes_to_lowest_index(self):
         x = Tensor([2.0, 2.0, 1.0])
