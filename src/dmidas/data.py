@@ -119,8 +119,11 @@ class SyntheticSpec:
             raise ConfigError(f"synthetic length must be >= 1, got {self.length}")
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: a bijective 64-bit mix."""
+def _mix64(x):
+    """SplitMix64 finalizer: a bijective 64-bit mix of an int or a uint64 array.
+
+    uint64 arithmetic wraps modulo 2**64, so the masks only matter for ints.
+    """
     x &= _M64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _M64
@@ -130,25 +133,22 @@ def _mix64(x: int) -> int:
     return x
 
 
-def _unit_open(x: int) -> float:
-    """Map 64 random bits to (0, 1]: ((x >> 11) + 1) * 2**-53."""
-    return ((x >> 11) + 1) * (2.0 ** -53)
-
-
 def gaussian_noise(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n standard normal draws from counter k: Box-Muller over SplitMix64 output.
 
     Draw t consumes counters 2t and 2t+1 of the stream, where counter k yields
     _mix64(seed' + (k+1)*GOLDEN) with seed' = _mix64(seed + stream*GOLDEN).
-    z_t = sqrt(-2 ln u1) * cos(2 pi u2) with u1, u2 in (0, 1].
+    z_t = sqrt(-2 ln u1) * cos(2 pi u2) with u1, u2 in (0, 1], where 64 bits x
+    map to ((x >> 11) + 1) * 2**-53.
     """
-    base = _mix64((seed + stream * _GOLDEN) & _M64)
-    out = np.empty(n, dtype=np.float64)
-    for t in range(n):
-        u1 = _unit_open(_mix64((base + (2 * t + 1) * _GOLDEN) & _M64))
-        u2 = _unit_open(_mix64((base + (2 * t + 2) * _GOLDEN) & _M64))
-        out[t] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return out
+    base = np.uint64(_mix64((seed + stream * _GOLDEN) & _M64))
+    counters = np.arange(1, 2 * n + 1, dtype=np.uint64)
+    bits = _mix64(base + counters * np.uint64(_GOLDEN))
+    u = ((bits >> 11) + 1).astype(np.float64) * (2.0 ** -53)
+    # math's log and cos per draw, not numpy's: they fix the bits of every draw.
+    return np.fromiter((math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                        for u1, u2 in zip(u[0::2].tolist(), u[1::2].tolist())),
+                       dtype=np.float64, count=n)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TimeSeriesDataset:
@@ -204,9 +204,12 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
 
     The default time column ("time") is optional and falls back to row order;
     a schema naming any other time column requires it to exist. Values must
-    parse as finite floats, with errors reported by line number.
+    parse as finite floats and times must not parse as NaN, with errors
+    reported by line number. A series sorts by numeric time when every one of
+    its times parses as a float, and by the time text otherwise.
     """
-    rows_by_id: dict[str, list[tuple[object, float]]] = {}
+    rows_by_id: dict[str, list[tuple[str | None, float | None, float]]] = {}
+    textual: set[str] = set()
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -240,25 +243,31 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
             if not math.isfinite(value):
                 raise DataError(f"line {line_no}: non-finite value '{raw}'")
             key = row[id_i].strip()
-            tkey = row[time_i].strip() if has_time else None
-            rows_by_id.setdefault(key, []).append((tkey, value))
+            tkey = stamp = None
+            if has_time:
+                tkey = row[time_i].strip()
+                try:
+                    stamp = float(tkey)
+                except ValueError:
+                    textual.add(key)  # a non-numeric time: the series sorts by text
+                else:
+                    if math.isnan(stamp):
+                        raise DataError(f"line {line_no}: non-finite time '{tkey}'")
+            rows_by_id.setdefault(key, []).append((tkey, stamp, value))
 
     if not rows_by_id:
         raise DataError(f"'{path}' holds no data rows")
     series = []
     for sid, rows in rows_by_id.items():
         if has_time:
-            times = [t for t, _ in rows]
+            times = [t for t, _, _ in rows]
             if len(set(times)) != len(times):
                 dup = next(t for t in times if times.count(t) > 1)
                 raise DataError(f"duplicate (id, time) pair ('{sid}', '{dup}')")
-            try:
-                keyed = sorted(rows, key=lambda r: float(r[0]))
-            except (TypeError, ValueError):
-                keyed = sorted(rows, key=lambda r: r[0])
-            values = [v for _, v in keyed]
+            keyed = sorted(rows, key=(lambda r: r[0]) if sid in textual else (lambda r: r[1]))
+            values = [v for _, _, v in keyed]
         else:
-            values = [v for _, v in rows]
+            values = [v for _, _, v in rows]
         series.append(Series(id=sid, values=np.array(values, dtype=np.float64)))
     return TimeSeriesDataset(series=series, name=name or str(path))
 

@@ -277,11 +277,43 @@ def project(theta, basis: Array, tape: GradientTape | None = None):
     return _emit(out, (theta,), backward, tape, "project")
 
 
+@lru_cache(maxsize=None)
+def _interpolation_taps(knots: int, horizon: int) -> tuple[Array, Array, Array, Array, Array]:
+    """``interpolation_matrix(knots, horizon)`` and its two taps per row.
+
+    Row t of the matrix is zero outside columns k1[t] and k2[t], so step t is
+    ``a[t] * theta[k1[t]] + b[t] * theta[k2[t]]``. k1 is the row's first
+    nonzero column, capped at the last segment's start (a row can hold a zero
+    weight at k1 when its step falls exactly on the last knot). A single knot
+    has one tap: b is 0 and k2 stays in range at column 0.
+    """
+    m = interpolation_matrix(knots, horizon)
+    rows = np.arange(horizon)
+    k1 = np.minimum(np.argmax(m != 0.0, axis=1), max(knots - 2, 0))
+    k2 = np.minimum(k1 + 1, knots - 1)
+    a = m[rows, k1]
+    b = m[rows, k2] if knots > 1 else np.zeros(horizon)
+    for arr in (k1, k2, a, b):
+        arr.setflags(write=False)
+    return m, k1, k2, a, b
+
+
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
-    """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation."""
+    """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
+
+    A single window (1-D ``theta``) gathers its two taps per step; a batch
+    multiplies by the dense matrix, where BLAS is faster than the gather.
+    """
     tv = value_of(theta)
     knots = tv.shape[-1]
-    return project(theta, interpolation_matrix(knots, horizon), tape)
+    if tv.ndim != 1:
+        return project(theta, interpolation_matrix(knots, horizon), tape)
+    m, k1, k2, a, b = _interpolation_taps(knots, horizon)
+
+    def backward(g):
+        return (g @ m,)
+
+    return _emit(a * tv[k1] + b * tv[k2], (theta,), backward, tape, "project")
 
 
 def loss(y, yhat, kind: str = "mae", tape: GradientTape | None = None):

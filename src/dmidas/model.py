@@ -448,7 +448,7 @@ def save_checkpoint(model, path) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint, validating version, names and shapes."""
+    """Rebuild a model from a checkpoint, validating version, names, shapes and completeness."""
     try:
         npz = np.load(path)
     except OSError as exc:
@@ -462,11 +462,17 @@ def load_checkpoint(path):
             raise ConfigError(f"unsupported checkpoint version {version!r}")
         config = model_config_from_dict(meta["config"])
         model = build_any(config, seed=0)
+        named = {rec["name"] for rec in meta["params"]}
+        missing = [name for name in model.params.names() if name not in named]
+        if missing:
+            raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")
         for rec in meta["params"]:
             name = rec["name"]
-            arr = npz["p:" + name].astype(np.float64)
             if name not in model.params:
                 raise ConfigError(f"checkpoint parameter '{name}' not present in model")
+            if "p:" + name not in npz:
+                raise ConfigError(f"checkpoint parameter '{name}' has no array")
+            arr = npz["p:" + name]
             if list(arr.shape) != rec["shape"] or arr.shape != model.params[name].value.shape:
                 raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
                                   f"expected {model.params[name].value.shape}")

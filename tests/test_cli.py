@@ -243,6 +243,21 @@ class TestForecastAndDecompose:
             d2 = comp[2:] - 2 * comp[1:-1] + comp[:-2]
             assert int(np.sum(np.abs(d2) > 1e-9)) <= knots - 1
 
+    def test_checkpoint_missing_an_array_exits_one(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        ckpt = run / "checkpoints" / "member_0.npz"
+        with np.load(ckpt) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "p:s0.b0.mlp0.weight"}
+        with open(ckpt, "wb") as handle:  # the metadata still names the array
+            np.savez(handle, **arrays)
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", data, "--config", config, "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 1
+        assert "s0.b0.mlp0.weight" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_selector_out_of_range(self, workspace):
         tmp_path, config, data = workspace
         run = tmp_path / "run"

@@ -1,6 +1,7 @@
 """Synthetic generation, CSV ingestion and result export."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,39 @@ class TestSyntheticGeneration:
         b = gaussian_noise(seed=0, n=32, stream=1)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 4000])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_noise_matches_per_draw_loop_bit_for_bit(self, seed, stream, n):
+        got = gaussian_noise(seed=seed, n=n, stream=stream)
+        want = noise_loop_reference(seed, n, stream)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+
+def noise_loop_reference(seed, n, stream):
+    """gaussian_noise as its documented algorithm, one draw at a time in Python ints."""
+    m64, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+    def mix(x):
+        x &= m64
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & m64
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & m64
+        return x ^ (x >> 31)
+
+    def unit(x):
+        return ((x >> 11) + 1) * (2.0 ** -53)
+
+    base = mix((seed + stream * golden) & m64)
+    out = np.empty(n, dtype=np.float64)
+    for t in range(n):
+        u1 = unit(mix((base + (2 * t + 1) * golden) & m64))
+        u2 = unit(mix((base + (2 * t + 2) * golden) & m64))
+        out[t] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return out
+
 
 class TestCsvLoading:
     def write(self, tmp_path, text, name="data.csv"):
@@ -93,6 +127,22 @@ class TestCsvLoading:
         path = self.write(tmp_path, "id,time,value\na,10,3\na,2,1\na,5,2\n")
         ds = load_csv(path)
         np.testing.assert_array_equal(ds.get("a").values, [1.0, 2.0, 3.0])
+
+    def test_nan_time_is_rejected_with_its_line(self, tmp_path):
+        path = self.write(tmp_path, "id,time,value\na,2,20\na,nan,99\na,1,10\na,0,0\n")
+        with pytest.raises(DataError, match=r"^line 3: non-finite time 'nan'$"):
+            load_csv(path)
+
+    def test_infinite_times_sort_numerically(self, tmp_path):
+        path = self.write(tmp_path, "id,time,value\na,inf,3\na,-inf,1\na,0,2\n")
+        np.testing.assert_array_equal(load_csv(path).get("a").values, [1.0, 2.0, 3.0])
+
+    def test_text_times_sort_as_text(self, tmp_path):
+        path = self.write(tmp_path, "id,time,value\na,2024-01-03,3\na,2024-01-01,1\n"
+                                    "a,2024-01-02,2\nb,10,2\nb,9,1\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.get("a").values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ds.get("b").values, [1.0, 2.0])
 
     def test_unparseable_value_cites_line(self, tmp_path):
         rows = "id,time,value\n" + "".join(f"a,{t},{t}\n" for t in range(5))

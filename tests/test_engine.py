@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmidas import engine
@@ -264,6 +264,60 @@ class TestInterpUpsample:
         theta = Tensor(np.random.default_rng(8).normal(size=5))
         report = grad_check(scalar_fn(interp_upsample, 12), [theta])
         assert report.passed, str(report)
+
+    def test_taps_are_the_matrix_nonzeros_exactly(self):
+        for horizon in range(1, 41):
+            for knots in range(1, horizon + 1):
+                m, k1, k2, a, b = engine._interpolation_taps(knots, horizon)
+                rebuilt = np.zeros_like(m)
+                rows = np.arange(horizon)
+                rebuilt[rows, k1] += a
+                rebuilt[rows, k2] += b
+                assert np.array_equal(rebuilt, m), (knots, horizon)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(360, 720, 1)
+    @example(720, 1440, 2)
+    def test_vector_matches_dense_product(self, n1, n2, seed):
+        knots, horizon = min(n1, n2), max(n1, n2)
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(size=knots) * 10.0 ** rng.uniform(-3, 3)
+        out = interp_upsample(theta, horizon)
+        want = theta @ interpolation_matrix(knots, horizon).T
+        tol = 4 * np.finfo(np.float64).eps * np.max(np.abs(theta))
+        assert out.shape == (horizon,)
+        assert np.max(np.abs(out - want)) <= tol
+
+    @pytest.mark.parametrize("knots,horizon", [(1, 9), (3, 7), (48, 96), (360, 720)])
+    def test_batch_is_the_dense_product_bit_for_bit(self, knots, horizon):
+        m = interpolation_matrix(knots, horizon)
+        theta = Tensor(np.random.default_rng(knots).normal(size=(4, knots)))
+        g = np.random.default_rng(horizon).normal(size=(4, horizon))
+        tape = GradientTape()
+        out = interp_upsample(theta, horizon, tape)
+        assert np.array_equal(out.value, theta.value @ m.T)
+        tape.backward(out, seed=g)
+        assert np.array_equal(theta.grad, g @ m)
+
+    @pytest.mark.parametrize("knots,horizon", [(1, 9), (2, 4), (3, 7), (48, 96), (720, 1440)])
+    def test_vector_backward_is_g_times_matrix_bit_for_bit(self, knots, horizon):
+        theta = Tensor(np.random.default_rng(knots).normal(size=knots))
+        g = np.random.default_rng(horizon).normal(size=horizon)
+        tape = GradientTape()
+        out = interp_upsample(theta, horizon, tape)
+        assert [e.name for e in tape.entries] == ["project"]
+        tape.backward(out, seed=g)
+        assert np.array_equal(theta.grad, g @ interpolation_matrix(knots, horizon))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_vector_rejects_non_finite_results(self):
+        with pytest.raises(NumericsError):
+            interp_upsample(np.array([1.0, np.inf]), 4)
+        # Extrapolating past the last knot overflows float64 here.
+        with pytest.raises(NumericsError):
+            interp_upsample(Tensor([-1.5e308, 1.5e308]), 3, GradientTape())
 
 
 class TestProject:

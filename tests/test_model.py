@@ -264,6 +264,22 @@ class TestMlpBaseline:
             build_mlp_baseline(4, 4, (), seed=0)
 
 
+def drop_checkpoint_parameter(path, name, keep_meta):
+    """Rewrite a checkpoint without the array of ``name``, and without its
+    metadata record unless ``keep_meta``."""
+    import json
+
+    with np.load(path) as npz:
+        meta = json.loads(bytes(npz["__meta__"]).decode())
+        arrays = {k: npz[k] for k in npz.files if k not in ("__meta__", "p:" + name)}
+    assert len(arrays) == len(meta["params"]) - 1
+    if not keep_meta:
+        meta["params"] = [rec for rec in meta["params"] if rec["name"] != name]
+    meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, __meta__=meta_bytes, **arrays)
+
+
 class TestCheckpoints:
     def test_roundtrip_preserves_forecasts(self, tmp_path):
         cfg, model = midas_model(seed=21)
@@ -336,6 +352,22 @@ class TestCheckpoints:
         bad = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, __meta__=bad, **arrays)
         with pytest.raises(ConfigError, match="version"):
+            load_checkpoint(path)
+
+    def test_parameter_missing_from_checkpoint_rejected(self, tmp_path):
+        _, model = midas_model()
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        drop_checkpoint_parameter(path, "s0.b0.mlp0.weight", keep_meta=False)
+        with pytest.raises(ConfigError, match=r"missing parameter 's0\.b0\.mlp0\.weight'"):
+            load_checkpoint(path)
+
+    def test_parameter_named_without_array_rejected(self, tmp_path):
+        _, model = midas_model()
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        drop_checkpoint_parameter(path, "s0.b1.theta_f.bias", keep_meta=True)
+        with pytest.raises(ConfigError, match=r"'s0\.b1\.theta_f\.bias' has no array"):
             load_checkpoint(path)
 
     def test_build_any_dispatch(self):

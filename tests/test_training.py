@@ -480,6 +480,19 @@ class TestEnsembles:
         with pytest.raises(ConfigError, match="disagree"):
             ensemble_forecast_batch(members, x)
 
+    def test_batch_rows_match_single_windows_at_long_horizon(self):
+        # Single windows interpolate by a two-tap gather, batches by the dense
+        # matrix through BLAS: the two round differently, within 1e-12.
+        template = BlockConfig(basis="midas", input_size=1440, horizon=720, mlp_widths=(16, 16))
+        config = ModelConfig(stacks=(StackConfig(3, template),), input_size=1440,
+                             horizon=720, base_ratio=0.5)
+        members = [build_model(config, seed) for seed in (0, 1)]
+        t = np.arange(1440 + 4)
+        x = np.stack([np.sin(2 * np.pi * t[i:i + 1440] / 144) for i in range(4)])
+        batch = ensemble_forecast_batch(members, x)
+        singles = np.stack([ensemble_forecast(members, row) for row in x])
+        assert np.max(np.abs(batch - singles)) <= 1e-12 * np.max(np.abs(singles))
+
     def test_shape_disagreement_rejected(self):
         tn, vn = self.setup_data()
         members = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
