@@ -1,10 +1,11 @@
 """Command-line entry point: generate, train, evaluate, forecast, decompose,
 search and param-count, all deterministic under --seed.
 
-Run configuration is flat INI (sections data/model/training/ensemble/
-evaluation/search) with unknown keys rejected; every command writes the
-resolved configuration next to its outputs. Exit codes: 0 success, 1
-configuration error, 2 data error, 3 training or runtime error.
+Run configuration is flat INI (sections run/data/model/training/ensemble/
+evaluation/search) with unknown keys rejected; --seed and --jobs override
+[run]. Every command writes the resolved configuration next to its outputs.
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 training or
+runtime error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import operator
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -107,31 +109,46 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.sections[section][key]
 
+    def _parse(self, section: str, key: str, convert, expected: str):
+        value = self.get(section, key)
+        try:
+            return convert(value)
+        except (ValueError, LookupError):
+            raise ConfigError(f"[{section}] {key} = {value} is not {expected}") from None
+
     def getint(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        return self._parse(section, key, int, "an integer")
 
     def getfloat(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
+        return self._parse(section, key, float, "a number")
 
-    def int_list(self, section: str, key: str) -> list[int]:
-        text = self.get(section, key).strip()
-        return [int(x) for x in text.split(",") if x.strip()] if text else []
+    def getboolean(self, section: str, key: str) -> bool:
+        return self._parse(section, key,
+                           lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
+                           "a boolean")
+
+    def getlist(self, section: str, key: str, convert=int) -> list:
+        return self._parse(section, key,
+                           lambda v: [convert(x) for x in v.split(",") if x.strip()],
+                           f"a comma-separated list of {convert.__name__}s")
 
 
 def load_run_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file '{path}'")
-    sections = {name: dict(defaults) for name, defaults in CONFIG_SCHEMA.items()}
-    for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            sections[section][key] = value
-    return RunConfig(sections=sections)
+    config = default_run_config()
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file '{path}'")
+        for section in parser.sections():
+            if section not in CONFIG_SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, value in parser.items(section):
+                if key not in CONFIG_SCHEMA[section]:
+                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                config.sections[section][key] = value
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file '{path}': {exc}") from None
+    return config
 
 
 def default_run_config() -> RunConfig:
@@ -139,23 +156,23 @@ def default_run_config() -> RunConfig:
                                for name, defaults in CONFIG_SCHEMA.items()})
 
 
-def write_resolved_config(config: RunConfig, path, seed: int, jobs: int) -> None:
-    parser = configparser.ConfigParser()
-    for section, keys in config.sections.items():
-        parser[section] = dict(keys)
-    parser["run"]["seed"] = str(seed)
-    parser["run"]["jobs"] = str(jobs)
+def _run_config(args) -> RunConfig:
+    """--config with [run] seed and jobs resolved: the flag, else the file, else the default."""
+    config = load_run_config(args.config)
+    for key in ("seed", "jobs"):
+        flag = getattr(args, key)
+        config.sections["run"][key] = str(config.getint("run", key) if flag is None else flag)
+    if config.getint("run", "jobs") < 1:
+        raise ConfigError(f"jobs must be >= 1, got {config.get('run', 'jobs')}")
+    return config
+
+
+def write_resolved_config(config: RunConfig, path) -> None:
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in config.sections.items():  # '%' escaped, so it reads back as it was
+        parser[section] = {key: value.replace("%", "%%") for key, value in keys.items()}
     with open(path, "w", encoding="utf-8") as handle:
         parser.write(handle)
-
-
-def resolve_seed(args, config: RunConfig | None = None) -> int:
-    """--seed wins; otherwise the config's [run] seed; otherwise 0."""
-    if args.seed is not None:
-        return args.seed
-    if config is not None:
-        return config.getint("run", "seed")
-    return 0
 
 
 def _model_spec_from_config(config: RunConfig, name: str) -> metrics_mod.ModelSpec:
@@ -168,25 +185,24 @@ def _model_spec_from_config(config: RunConfig, name: str) -> metrics_mod.ModelSp
     params = {
         "stacks": config.getint("model", "stacks"),
         "blocks_per_stack": config.getint("model", "blocks_per_stack"),
-        "mlp_widths": tuple(config.int_list("model", "mlp_widths")),
+        "mlp_widths": tuple(config.getlist("model", "mlp_widths")),
         "base_ratio": config.getfloat("model", "base_ratio"),
         "pooling_mode": config.get("model", "pooling_mode"),
         "poly_degree": config.getint("model", "poly_degree"),
         "n_harmonics": config.getint("model", "n_harmonics"),
         "input_size": config.getint("model", "input_size"),
-        "shared_weights": config.get("model", "shared_weights").lower()
-        in ("1", "true", "yes"),
+        "shared_weights": config.getboolean("model", "shared_weights"),
     }
     sched = config.get("model", "ratio_schedule")
     params["ratio_schedule"] = sched if sched == "exponential" else tuple(
-        float(x) for x in sched.split(","))
+        config.getlist("model", "ratio_schedule", float))
     pooling = config.get("model", "pooling_schedule")
     if pooling == "auto":
         params["pooling_schedule"] = "auto"
     elif "," in pooling:
-        params["pooling_schedule"] = tuple(int(x) for x in pooling.split(","))
+        params["pooling_schedule"] = tuple(config.getlist("model", "pooling_schedule"))
     else:
-        params["pooling_schedule"] = int(pooling)
+        params["pooling_schedule"] = config.getint("model", "pooling_schedule")
     return metrics_mod.ModelSpec(name=name, kind=name, params=params)
 
 
@@ -212,7 +228,7 @@ def _train_config_from_run(config: RunConfig, seed: int) -> TrainConfig:
 
 
 def _ensemble_from_run(config: RunConfig) -> EnsembleConfig:
-    seeds = config.int_list("ensemble", "member_seeds")
+    seeds = config.getlist("ensemble", "member_seeds")
     return EnsembleConfig(n_members=config.getint("ensemble", "n_members"),
                           member_seeds=seeds or None)
 
@@ -238,29 +254,40 @@ def _windows(config: RunConfig, dataset, part: str, input_size: int, horizon: in
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    name = args.spec
-    if name in data_mod.PRESETS:
-        spec = data_mod.PRESETS[name]()
-    elif Path(name).is_file():
+def _spec_from_file(name) -> data_mod.SyntheticSpec:
+    """A synthetic spec JSON file; a malformed one is a ConfigError naming the file."""
+    try:
         with open(name, encoding="utf-8") as handle:
             raw = json.load(handle)
         components = []
         for comp in raw.get("components", []):
             kind = comp.get("kind")
             if kind == "sinusoid":
-                components.append(data_mod.Sinusoid(comp["period"],
-                                                    comp.get("amplitude", 1.0),
-                                                    comp.get("phase", 0.0)))
+                components.append(data_mod.Sinusoid(float(comp["period"]),
+                                                    float(comp.get("amplitude", 1.0)),
+                                                    float(comp.get("phase", 0.0))))
             elif kind == "linear_trend":
-                components.append(data_mod.LinearTrend(comp["slope"]))
+                components.append(data_mod.LinearTrend(float(comp["slope"])))
             elif kind == "noise":
-                components.append(data_mod.GaussianNoise(comp["sigma"]))
+                components.append(data_mod.GaussianNoise(float(comp["sigma"])))
             else:
                 raise ConfigError(f"unknown component kind '{kind}' in '{name}'")
-        spec = data_mod.SyntheticSpec(length=raw["length"], components=tuple(components),
-                                      seed=raw.get("seed", 0),
+        return data_mod.SyntheticSpec(length=operator.index(raw["length"]),
+                                      components=tuple(components),
+                                      seed=operator.index(raw.get("seed", 0)),
                                       name=raw.get("name", "synthetic"))
+    except KeyError as exc:
+        raise ConfigError(f"synthetic spec '{name}' is missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed synthetic spec '{name}': {exc}") from None
+
+
+def cmd_generate(args) -> int:
+    name = args.spec
+    if name in data_mod.PRESETS:
+        spec = data_mod.PRESETS[name]()
+    elif Path(name).is_file():
+        spec = _spec_from_file(name)
     else:
         raise ConfigError(f"unknown preset '{name}'; available presets: "
                           f"{sorted(data_mod.PRESETS)}")
@@ -286,22 +313,20 @@ def _load_dataset(args, config: RunConfig):
 
 
 def cmd_train(args) -> int:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args, config)
+    config = _run_config(args)
     dataset = _load_dataset(args, config)
     shape = config.getint("model", "input_size"), config.getint("model", "horizon")
     train_n = _windows(config, dataset, "train", *shape)
     val_n = _windows(config, dataset, "val", *shape)
-
     model_config = _model_config_from_run(config)
-    train_cfg = _train_config_from_run(config, seed)
+    train_cfg = _train_config_from_run(config, config.getint("run", "seed"))
     members = train_ensemble(model_config, train_n, val_n, train_cfg,
-                             _ensemble_from_run(config), jobs=args.jobs)
+                             _ensemble_from_run(config), jobs=config.getint("run", "jobs"))
 
     out = Path(args.out)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "history").mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out / "config.resolved", seed, args.jobs)
+    write_resolved_config(config, out / "config.resolved")
     for k, member in enumerate(members):
         save_checkpoint(member.model, out / "checkpoints" / f"member_{k}.npz")
         write_history_csv(member.result.history, out / "history" / f"member_{k}.csv")
@@ -312,12 +337,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args, config)
+    config = _run_config(args)
+    seed = config.getint("run", "seed")
     dataset = _load_dataset(args, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out / "config.resolved", seed, args.jobs)
+    write_resolved_config(config, out / "config.resolved")
 
     if args.checkpoints:
         report = _evaluate_checkpoints(args, config, dataset)
@@ -332,9 +357,9 @@ def cmd_evaluate(args) -> int:
             ensemble=_ensemble_from_run(config),
             scope=config.get("evaluation", "scope"),
         )
-        horizons = config.int_list("evaluation", "horizons")
+        horizons = config.getlist("evaluation", "horizons")
         report = metrics_mod.run_benchmark(dataset, specs, horizons, protocol,
-                                           seed=seed, jobs=args.jobs)
+                                           seed=seed, jobs=config.getint("run", "jobs"))
     data_mod.export_results(report, out / "metrics.json", "json")
     table = metrics_mod.render_table(report)
     with open(out / "metrics.txt", "w", encoding="utf-8") as handle:
@@ -380,7 +405,7 @@ def _select_test_window(config: RunConfig, dataset, input_size: int, horizon: in
 
 
 def cmd_forecast(args) -> int:
-    config = load_run_config(args.config)
+    config = _run_config(args)
     dataset = _load_dataset(args, config)
     members = _load_members(args.checkpoints)
     window = _select_test_window(config, dataset, members[0].input_size,
@@ -392,13 +417,13 @@ def cmd_forecast(args) -> int:
         handle.write("t,forecast\n")
         for t, v in enumerate(yhat):
             handle.write(f"{t},{repr(float(v))}\n")
-    write_resolved_config(config, str(out) + ".resolved", resolve_seed(args, config), args.jobs)
+    write_resolved_config(config, str(out) + ".resolved")
     print(f"wrote {len(yhat)}-step forecast to {out}")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    config = load_run_config(args.config)
+    config = _run_config(args)
     dataset = _load_dataset(args, config)
     model = load_checkpoint(args.checkpoint)
     window = _select_test_window(config, dataset, model.input_size, model.horizon,
@@ -412,64 +437,58 @@ def cmd_decompose(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.export_results(bundle, out, "csv")
-    write_resolved_config(config, str(out) + ".resolved", resolve_seed(args, config), args.jobs)
+    write_resolved_config(config, str(out) + ".resolved")
     print(f"wrote decomposition with {len(bundle.components)} components to {out}")
     return EXIT_OK
 
 
+def _apply_assignment(config: RunConfig, assignment: dict) -> RunConfig:
+    """A copy of ``config`` with one search draw, floats by ``repr`` so they round-trip."""
+    trial = RunConfig(sections={s: dict(keys) for s, keys in config.sections.items()})
+    width = int(assignment["mlp_width"])
+    trial.sections["model"].update(
+        mlp_widths=f"{width},{width}",
+        blocks_per_stack=str(int(assignment["blocks_per_stack"])),
+        base_ratio=repr(float(assignment["base_ratio"])))
+    lam = float(assignment["l1_lambda"]) * float(assignment["l1_enabled"])
+    trial.sections["training"].update(lr=repr(float(assignment["lr"])), l1_lambda=repr(lam))
+    return trial
+
+
 def search_objective(config: RunConfig, dataset):
     """Objective for random search: train one model, return validation MAE."""
-    base_spec = _model_spec_from_config(config, config.get("model", "kind"))
-    input_size = config.getint("model", "input_size")
-    horizon = config.getint("model", "horizon")
-    train_n = _windows(config, dataset, "train", input_size, horizon)
-    val_n = _windows(config, dataset, "val", input_size, horizon)
+    # Parse the base config once, so a malformed file fails the run, not every trial.
+    _model_spec_from_config(config, config.get("model", "kind"))
+    _train_config_from_run(config, 0)
+    shape = config.getint("model", "input_size"), config.getint("model", "horizon")
+    train_n = _windows(config, dataset, "train", *shape)
+    val_n = _windows(config, dataset, "val", *shape)
 
     def objective(assignment: dict, trial_seed: int) -> float:
-        params = dict(base_spec.params)
-        if "mlp_width" in assignment:
-            w = int(assignment["mlp_width"])
-            params["mlp_widths"] = (w, w)
-        if "blocks_per_stack" in assignment:
-            params["blocks_per_stack"] = int(assignment["blocks_per_stack"])
-        if "base_ratio" in assignment:
-            params["base_ratio"] = float(assignment["base_ratio"])
-        spec = metrics_mod.ModelSpec(base_spec.name, base_spec.kind, params)
-        model_config = metrics_mod.model_config_for(spec, input_size, horizon)
-        lam = float(assignment.get("l1_lambda", 0.0)) * float(assignment.get("l1_enabled", 1))
-        train_cfg = replace(_train_config_from_run(config, trial_seed),
-                            lr=float(assignment.get("lr", config.getfloat("training", "lr"))),
-                            l1_lambda=lam)
-        model = build_any(model_config, trial_seed)
-        result = train(model, train_n, val_n, train_cfg)
-        return result.best_val_mae
+        trial = _apply_assignment(config, assignment)
+        model = build_any(_model_config_from_run(trial), trial_seed)
+        return train(model, train_n, val_n, _train_config_from_run(trial, trial_seed)).best_val_mae
 
     return objective
 
 
 def cmd_search(args) -> int:
-    config = load_run_config(args.config)
-    seed = resolve_seed(args, config)
+    config = _run_config(args)
     budget = args.budget if args.budget is not None else config.getint("search", "budget")
     dataset = _load_dataset(args, config)
     objective = search_objective(config, dataset)
     result = search_mod.random_search(default_search_space(), budget, objective,
-                                      seed=seed, jobs=args.jobs)
+                                      seed=config.getint("run", "seed"),
+                                      jobs=config.getint("run", "jobs"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out / "config.resolved", seed, args.jobs)
+    write_resolved_config(config, out / "config.resolved")
     search_mod.write_trial_log(result.trials, out / "trials.jsonl")
 
     best = result.best
-    best_config = RunConfig(sections={s: dict(k) for s, k in config.sections.items()})
-    width = int(best.config["mlp_width"])
-    best_config.sections["model"]["mlp_widths"] = f"{width},{width}"
-    best_config.sections["model"]["blocks_per_stack"] = str(int(best.config["blocks_per_stack"]))
-    best_config.sections["model"]["base_ratio"] = repr(float(best.config["base_ratio"]))
-    best_config.sections["training"]["lr"] = repr(float(best.config["lr"]))
-    lam = float(best.config["l1_lambda"]) * float(best.config["l1_enabled"])
-    best_config.sections["training"]["l1_lambda"] = repr(lam)
-    write_resolved_config(best_config, out / "best_config.ini", best.seed, args.jobs)
+    best_config = _apply_assignment(config, best.config)
+    best_config.sections["run"]["seed"] = str(best.seed)
+    write_resolved_config(best_config, out / "best_config.ini")
     print(f"best trial {best.index}: validation MAE {best.val_mae:.6g} "
           f"(seed {best.seed}); config written to {out / 'best_config.ini'}")
     return EXIT_OK
@@ -510,8 +529,8 @@ def build_parser() -> _Parser:
 
     def common(p, config_required=True, needs_out=True):
         p.add_argument("--config", required=config_required, help="run config file (INI)")
-        p.add_argument("--seed", type=int, default=None, help="root random seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--seed", type=int, default=None, help="root random seed ([run] seed)")
+        p.add_argument("--jobs", type=int, default=None, help="parallel workers ([run] jobs)")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
 
@@ -565,8 +584,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

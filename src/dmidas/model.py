@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -450,31 +451,31 @@ def save_checkpoint(model, path) -> None:
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint, validating version, names, shapes and completeness."""
     try:
-        npz = np.load(path)
-    except OSError as exc:
+        with np.load(path) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read checkpoint '{path}': {exc}") from None
-    with npz:
-        if "__meta__" not in npz:
-            raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
-        meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version!r}")
-        config = model_config_from_dict(meta["config"])
-        model = build_any(config, seed=0)
-        named = {rec["name"] for rec in meta["params"]}
-        missing = [name for name in model.params.names() if name not in named]
-        if missing:
-            raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")
-        for rec in meta["params"]:
-            name = rec["name"]
-            if name not in model.params:
-                raise ConfigError(f"checkpoint parameter '{name}' not present in model")
-            if "p:" + name not in npz:
-                raise ConfigError(f"checkpoint parameter '{name}' has no array")
-            arr = npz["p:" + name]
-            if list(arr.shape) != rec["shape"] or arr.shape != model.params[name].value.shape:
-                raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
-                                  f"expected {model.params[name].value.shape}")
-            model.params[name].value[...] = arr
+    if "__meta__" not in arrays:
+        raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    version = meta.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version!r}")
+    config = model_config_from_dict(meta["config"])
+    model = build_any(config, seed=0)
+    named = {rec["name"] for rec in meta["params"]}
+    missing = [name for name in model.params.names() if name not in named]
+    if missing:
+        raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")
+    for rec in meta["params"]:
+        name = rec["name"]
+        if name not in model.params:
+            raise ConfigError(f"checkpoint parameter '{name}' not present in model")
+        if "p:" + name not in arrays:
+            raise ConfigError(f"checkpoint parameter '{name}' has no array")
+        arr = arrays["p:" + name]
+        if list(arr.shape) != rec["shape"] or arr.shape != model.params[name].value.shape:
+            raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
+                              f"expected {model.params[name].value.shape}")
+        model.params[name].value[...] = arr
     return model

@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmidas.cli import load_run_config, main, search_objective
+import dmidas
+from dmidas import training
+from dmidas.cli import load_run_config, main, search_objective, write_resolved_config
 from dmidas.data import load_csv, load_decomposition_csv
 
 TINY_SPEC = {
@@ -99,6 +105,127 @@ class TestGenerate:
         assert code == 1
         assert "--jobs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec", [
+        '{"length": 240, "components": [{"kind": "sinusoid", "amp',
+        '{"length": 240, "components": [{"kind": "sinusoid", "amplitude": 3.0}]}',
+        '{"length": 240, "components": [{"kind": "noise", "sigma": "x"}]}',
+        '{"length": "240"}',
+        '[240]',
+    ], ids=["truncated", "sinusoid-without-period", "text-sigma", "text-length", "not-an-object"])
+    def test_malformed_spec_exit_one(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        out = tmp_path / "out" / "x.csv"
+        assert main(["generate", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "spec.json" in err
+        assert not (tmp_path / "out").exists()
+
+
+def _seen_jobs(monkeypatch) -> list:
+    """Record the ``jobs`` of every ``training.parallel_map`` call."""
+    seen, real = [], training.parallel_map
+
+    def spy(fn, items, jobs):
+        seen.append(jobs)
+        return real(fn, items, jobs)
+
+    monkeypatch.setattr(training, "parallel_map", spy)
+    return seen
+
+
+def _resolved_run(path) -> dict:
+    return load_run_config(path).sections["run"]
+
+
+MALFORMED_CONFIGS = {
+    "text-int": ("iterations = 60", "iterations = ten"),
+    "text-schedule": ("base_ratio = 0.5", "base_ratio = 0.5\nratio_schedule = a,b"),
+    "text-pooling": ("base_ratio = 0.5", "base_ratio = 0.5\npooling_schedule = 2,x"),
+    "unknown-boolean": ("base_ratio = 0.5", "base_ratio = 0.5\nshared_weights = maybe"),
+    "text-member-seeds": ("n_members = 2", "n_members = 2\nmember_seeds = 1,b"),
+    "text-seed": ("[model]", "[run]\nseed = x\n\n[model]"),
+    "text-jobs": ("[model]", "[run]\njobs = x\n\n[model]"),
+    "zero-jobs": ("[model]", "[run]\njobs = 0\n\n[model]"),
+    "no-section-header": ("\n[model]", "iterations = 60\n\n[model]"),
+    "duplicate-key": ("iterations = 60", "iterations = 60\niterations = 60"),
+    "bare-percent": ("[training]", "[data]\ndelimiter = %\n\n[training]"),
+}
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exit_one(self, workspace, capsys, case):
+        tmp_path, config, data = workspace
+        old, new = MALFORMED_CONFIGS[case]
+        text = open(config).read()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", data, "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word", ["on", "yes", "1", "TRUE"])
+    def test_shared_weights_takes_boolean_words(self, tmp_path, capsys, word):
+        def total(value):
+            config = tmp_path / f"{value}.ini"
+            config.write_text("[model]\ninput_size = 24\nhorizon = 8\nblocks_per_stack = 2\n"
+                              "mlp_widths = 8,8\nratio_schedule = 0.5,0.5\n"
+                              f"pooling_schedule = 2\nshared_weights = {value}\n")
+            assert main(["param-count", "--config", str(config)]) == 0
+            return capsys.readouterr().out.split("generic twin")[0]
+
+        assert total(word) == total("true") != total("false")
+
+    def test_percent_survives_the_resolved_config(self, tmp_path):
+        config = tmp_path / "pct.ini"
+        config.write_text("[data]\nid_column = a%%b\n")
+        loaded = load_run_config(config)
+        assert loaded.get("data", "id_column") == "a%b"
+        write_resolved_config(loaded, tmp_path / "config.resolved")
+        assert load_run_config(tmp_path / "config.resolved") == loaded
+
+    def test_run_jobs_is_used_and_recorded(self, workspace, monkeypatch):
+        tmp_path, config, data = workspace
+        with_jobs = tmp_path / "jobs.ini"
+        with_jobs.write_text("[run]\njobs = 2\nseed = 05\n" + open(config).read())
+        seen = _seen_jobs(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["train", data, "--config", str(with_jobs), "--out", str(out)]) == 0
+        assert seen == [2]
+        assert _resolved_run(out / "config.resolved") == {"seed": "5", "jobs": "2"}
+
+    def test_flags_override_the_file(self, workspace, monkeypatch):
+        tmp_path, config, data = workspace
+        with_run = tmp_path / "run.ini"
+        with_run.write_text("[run]\njobs = 0\nseed = 3\n" + open(config).read())
+        seen = _seen_jobs(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["train", data, "--config", str(with_run), "--out", str(out),
+                     "--jobs", "2", "--seed", "4"]) == 0
+        assert seen == [2]
+        assert _resolved_run(out / "config.resolved") == {"seed": "4", "jobs": "2"}
+
+
+class TestEntryPoint:
+    def test_malformed_config_exits_one_without_traceback(self, workspace):
+        tmp_path, config, data = workspace
+        bad = tmp_path / "bad.ini"
+        bad.write_text(open(config).read().replace("iterations = 60", "iterations = ten"))
+        src = str(Path(dmidas.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "dmidas.cli", "train", data,
+                               "--config", str(bad), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("configuration error")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -258,6 +385,22 @@ class TestForecastAndDecompose:
         assert "s0.b0.mlp0.weight" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    def test_unreadable_checkpoint_exit_two(self, workspace, capsys, damage):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        ckpt = run / "checkpoints" / "member_0.npz"
+        if damage == "text":
+            ckpt.write_text("hello\n")
+        else:
+            ckpt.write_bytes(ckpt.read_bytes()[:100])
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", data, "--config", config, "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 2
+        assert "member_0.npz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_selector_out_of_range(self, workspace):
         tmp_path, config, data = workspace
         run = tmp_path / "run"
@@ -295,6 +438,24 @@ class TestSearch:
         objective = search_objective(run_cfg, dataset)
         replayed = objective(best["config"], best["seed"])
         assert abs(replayed - best["val_mae"]) < 1e-9
+
+    def test_best_config_replays_the_winning_trial(self, workspace):
+        tmp_path, config, data = workspace
+        one = tmp_path / "one.ini"
+        one.write_text(open(config).read().replace("n_members = 2", "n_members = 1"))
+        out = tmp_path / "search"
+        assert main(["search", data, "--config", str(one), "--budget", "2",
+                     "--out", str(out), "--seed", "12", "--jobs", "2"]) == 0
+        trials = [json.loads(l) for l in
+                  (out / "trials.jsonl").read_text().strip().splitlines()]
+        best = min((t for t in trials if t["status"] == "ok"), key=lambda t: t["val_mae"])
+        assert _resolved_run(out / "best_config.ini") == {"seed": str(best["seed"]),
+                                                          "jobs": "2"}
+        run = tmp_path / "replay"
+        assert main(["train", data, "--config", str(out / "best_config.ini"),
+                     "--out", str(run)]) == 0
+        rows = (run / "history" / "member_0.csv").read_text().strip().splitlines()[1:]
+        assert min(float(r.split(",")[2]) for r in rows) == best["val_mae"]
 
     def test_budget_zero_exit_one(self, workspace):
         tmp_path, config, data = workspace

@@ -339,6 +339,22 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="absent.npz"):
             load_checkpoint(tmp_path / "absent.npz")
 
+    @pytest.mark.parametrize("damage", ["text", "truncated", "corrupted"])
+    def test_unreadable_file_is_data_error(self, tmp_path, damage):
+        _, model = midas_model(seed=6)
+        path = tmp_path / "member_0.npz"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        if damage == "text":
+            raw = bytearray(b"hello\n")  # numpy takes a non-archive for pickled data
+        elif damage == "truncated":
+            raw = raw[:100]
+        else:
+            raw[len(raw) // 2] ^= 0xFF  # inside a stored array: its CRC no longer matches
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="member_0.npz"):
+            load_checkpoint(path)
+
     def test_version_field_checked(self, tmp_path):
         import json
 
