@@ -9,6 +9,7 @@ library RNG.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -211,10 +212,15 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     rows_by_id: dict[str, list[tuple[str | None, float | None, float]]] = {}
     textual: set[str] = set()
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as raw_handle:
+            raw = raw_handle.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot open '{path}': {exc}") from None
-    with handle:
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"'{path}' line {line_no}: not UTF-8 text ({exc.reason})") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle, delimiter=schema.delimiter)
         try:
             header = next(reader)

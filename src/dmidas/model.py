@@ -451,30 +451,37 @@ def save_checkpoint(model, path) -> None:
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint, validating version, names, shapes and completeness."""
     try:
-        with np.load(path) as npz:
+        loaded = np.load(path)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ConfigError(f"'{path}' is not a model checkpoint (not an npz archive)")
+        with loaded as npz:
             arrays = {key: npz[key] for key in npz.files}
     except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read checkpoint '{path}': {exc}") from None
     if "__meta__" not in arrays:
         raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
-    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-    version = meta.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version!r}")
-    config = model_config_from_dict(meta["config"])
+    try:
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        version = meta.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version!r}")
+        config = model_config_from_dict(meta["config"])
+        shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
+    except KeyError as exc:
+        raise ConfigError(f"'{path}' has checkpoint metadata without key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
     model = build_any(config, seed=0)
-    named = {rec["name"] for rec in meta["params"]}
-    missing = [name for name in model.params.names() if name not in named]
+    missing = [name for name in model.params.names() if name not in shapes]
     if missing:
         raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")
-    for rec in meta["params"]:
-        name = rec["name"]
+    for name, shape in shapes.items():
         if name not in model.params:
             raise ConfigError(f"checkpoint parameter '{name}' not present in model")
         if "p:" + name not in arrays:
             raise ConfigError(f"checkpoint parameter '{name}' has no array")
         arr = arrays["p:" + name]
-        if list(arr.shape) != rec["shape"] or arr.shape != model.params[name].value.shape:
+        if list(arr.shape) != shape or arr.shape != model.params[name].value.shape:
             raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
                               f"expected {model.params[name].value.shape}")
         model.params[name].value[...] = arr

@@ -6,7 +6,7 @@ import concurrent.futures
 import ctypes
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from .params import OptimizerState, adam_step, l1_penalty
 NORMALIZATION_MODES = ("none", "per-series-median", "per-window-last")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Window:
     """One training example: L input lags and the H-step target that follows them.
 
     ``scale`` and ``offset`` record the affine map back to original units:
-    original = normalized * scale + offset.
+    original = normalized * scale + offset. The builders' windows are read-only
+    views into one buffer per series: copy an array before you modify it.
     """
 
     series_id: str
@@ -33,6 +34,12 @@ class Window:
     t_start: int
     scale: float = 1.0
     offset: float = 0.0
+    # (buffer, input start in it), set by _view_window only; ``replace`` drops it
+    _view: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __getstate__(self):
+        # a copy or unpickled window owns writable arrays, so it must not keep the buffer
+        return {k: v for k, v in self.__dict__.items() if k != "_view"}
 
     @property
     def target_start(self) -> int:
@@ -82,23 +89,34 @@ class TrainConfig:
 # Windowing and splits
 # ---------------------------------------------------------------------------
 
+def _view_window(buf: np.ndarray, pos: int, input_size: int, horizon: int,
+                 **fields) -> Window:
+    """A window whose input and target are views into ``buf`` from ``pos`` on."""
+    cut = pos + input_size
+    w = Window(input=buf[pos:cut], target=buf[cut:cut + horizon], **fields)
+    object.__setattr__(w, "_view", (buf, pos))
+    return w
+
+
+def _cut_windows(values, t0: int, input_size: int, horizon: int, stride: int,
+                 series_id: str) -> list[Window]:
+    """Windows at t0, t0 + stride, ... of ``values`` (whose first point is time
+    t0), as views into one read-only float64 copy of it."""
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    buf = np.array(values, dtype=np.float64)
+    buf.flags.writeable = False
+    return [_view_window(buf, pos, input_size, horizon, series_id=series_id, t_start=t0 + pos)
+            for pos in range(0, len(buf) - input_size - horizon + 1, stride)]
+
+
 def make_windows(values, input_size: int, horizon: int, stride: int = 1,
                  series_id: str = "series") -> list[Window]:
     """All windows starting at 0, stride, 2*stride, ... that fit in the series."""
-    v = np.asarray(values, dtype=np.float64)
-    total = v.shape[0]
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    if total < input_size + horizon:
+    if len(values) < input_size + horizon:
         raise DataError(f"series '{series_id}' too short for windows: "
-                        f"length {total} < {input_size + horizon}")
-    windows = []
-    for t in range(0, total - input_size - horizon + 1, stride):
-        windows.append(Window(series_id=series_id,
-                              input=v[t:t + input_size].copy(),
-                              target=v[t + input_size:t + input_size + horizon].copy(),
-                              t_start=t))
-    return windows
+                        f"length {len(values)} < {input_size + horizon}")
+    return _cut_windows(values, 0, input_size, horizon, stride, series_id)
 
 
 @dataclass
@@ -136,11 +154,8 @@ class SplitDataset:
             if lo < input_size:
                 raise DataError(f"series '{sp.series.id}' has too little history "
                                 f"before its {lo_attr} region for {input_size} lags")
-            windows = make_windows(sp.series.values[lo - input_size:hi], input_size,
-                                   horizon, stride, series_id=sp.series.id)
-            for w in windows:
-                w.t_start += lo - input_size
-            out.extend(windows)
+            out.extend(_cut_windows(sp.series.values[lo - input_size:hi], lo - input_size,
+                                    input_size, horizon, stride, sp.series.id))
         return out
 
     def val_windows(self, input_size: int, horizon: int, stride: int | None = None) -> list[Window]:
@@ -199,13 +214,24 @@ def normalize(windows: list[Window], mode: str,
             scales[sid] = med if med > 0 else 1.0
 
     normalized = []
+    divided = {}  # id of a window buffer -> that buffer divided by its series scale
     for w in windows:
         if mode == "none":
-            normalized.append(replace(w, input=w.input.copy(), target=w.target.copy()))
+            normalized.append(w if w._view else replace(w, input=w.input.copy(),
+                                                          target=w.target.copy()))
         elif mode == "per-series-median":
             s = scales[w.series_id]
-            normalized.append(replace(w, input=w.input / s, target=w.target / s,
-                                      scale=s, offset=0.0))
+            if w._view:
+                buf, pos = w._view
+                if id(buf) not in divided:
+                    divided[id(buf)] = buf / s
+                    divided[id(buf)].flags.writeable = False
+                normalized.append(_view_window(divided[id(buf)], pos, len(w.input),
+                                               len(w.target), series_id=w.series_id,
+                                               t_start=w.t_start, scale=s, offset=0.0))
+            else:
+                normalized.append(replace(w, input=w.input / s, target=w.target / s,
+                                          scale=s, offset=0.0))
         else:
             last = float(w.input[-1])
             normalized.append(replace(w, input=w.input - last, target=w.target - last,
@@ -254,11 +280,7 @@ class TrainResult:
 
 
 def _stack_windows(windows: list[Window]):
-    x = np.stack([w.input for w in windows])
-    y = np.stack([w.target for w in windows])
-    scales = np.array([w.scale for w in windows])
-    offsets = np.array([w.offset for w in windows])
-    return x, y, scales, offsets
+    return np.stack([w.input for w in windows]), np.stack([w.target for w in windows])
 
 
 def _val_mae(model, xv, yv, scales, offsets) -> float:
@@ -278,12 +300,13 @@ def train(model, windows_train: list[Window], windows_val: list[Window],
     """
     if not windows_train or not windows_val:
         raise DataError("training requires non-empty train and validation window sets")
-    x, y, _, _ = _stack_windows(windows_train)
-    xv, yv, v_scales, v_offsets = _stack_windows(windows_val)
+    xv, yv = _stack_windows(windows_val)
+    v_scales = np.array([w.scale for w in windows_val])
+    v_offsets = np.array([w.offset for w in windows_val])
 
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_store(model.params)
-    n = x.shape[0]
+    n = len(windows_train)
     order = rng.permutation(n)
     cursor = 0
 
@@ -300,12 +323,13 @@ def train(model, windows_train: list[Window], windows_val: list[Window],
             cursor = 0
         batch = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
+        xb, yb = _stack_windows([windows_train[i] for i in batch])
 
         tape = engine.GradientTape()
         model.params.zero_grad()
         try:
-            forecast = model.forward_batch(x[batch], tape)[0]
-            objective = engine.loss(y[batch], forecast, config.loss_kind, tape)
+            forecast = model.forward_batch(xb, tape)[0]
+            objective = engine.loss(yb, forecast, config.loss_kind, tape)
             if config.l1_lambda > 0:
                 objective = engine.add(objective, l1_penalty(model.params, config.l1_lambda, tape), tape)
         except NumericsError as exc:

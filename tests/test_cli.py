@@ -252,6 +252,14 @@ class TestTrain:
                      "--out", str(tmp_path / "r")])
         assert code == 2
 
+    def test_non_utf8_data_exit_two(self, workspace, capsys):
+        tmp_path, config, _ = workspace
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"id,time,value\na,0,1.0\na,1,\xff\xfe\n")
+        code = main(["train", str(data), "--config", config, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "latin.csv' line 3" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_one(self, workspace, capsys):
         tmp_path, _, data = workspace
         bad = tmp_path / "bad.ini"
@@ -398,6 +406,18 @@ class TestForecastAndDecompose:
         out = tmp_path / "fc.csv"
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 2
+        assert "member_0.npz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_npy_file_as_checkpoint_exits_one(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        with open(run / "checkpoints" / "member_0.npz", "wb") as handle:
+            np.save(handle, np.arange(3.0))
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", data, "--config", config, "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 1
         assert "member_0.npz" in capsys.readouterr().err
         assert not out.exists()
 

@@ -165,6 +165,12 @@ class TestCsvLoading:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"id,time,value\na,0,1.0\na,1,\xff\xfe\n")
+        with pytest.raises(DataError, match=r"latin\.csv' line 3: not UTF-8"):
+            load_csv(path)
+
     def test_no_time_column_uses_row_order(self, tmp_path):
         path = self.write(tmp_path, "id,value\na,3\na,1\na,2\n")
         ds = load_csv(path)

@@ -1,5 +1,7 @@
 """Stacked model: residual wiring, schedules, parameter accounting, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dmidas.errors import ConfigError, DataError
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
                           build_mlp_baseline, build_model, count_parameters,
                           expressivity_schedule, generic_twin, load_checkpoint,
-                          save_checkpoint)
+                          model_config_to_dict, save_checkpoint)
 
 
 def midas_model(input_size=24, horizon=8, blocks=3, widths=(8, 8), ratio=0.5, seed=0):
@@ -353,6 +355,27 @@ class TestCheckpoints:
             raw[len(raw) // 2] ^= 0xFF  # inside a stored array: its CRC no longer matches
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="member_0.npz"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def write_malformed(path, kind):
+        """A file under an .npz name with no usable checkpoint metadata."""
+        if kind == "npy":
+            with open(path, "wb") as handle:  # what np.save writes
+                np.save(handle, np.arange(3.0))
+            return
+        config = model_config_to_dict(midas_model()[0])
+        meta = {"not-json": b"{version: 1",
+                "list": b"[1, 2]",
+                "no-config": b'{"version": 1, "params": []}',
+                "no-params": json.dumps({"version": 1, "config": config}).encode()}[kind]
+        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
+
+    @pytest.mark.parametrize("kind", ["npy", "not-json", "list", "no-config", "no-params"])
+    def test_malformed_file_is_config_error_naming_it(self, tmp_path, kind):
+        path = tmp_path / "m.npz"
+        self.write_malformed(path, kind)
+        with pytest.raises(ConfigError, match=r"m\.npz"):
             load_checkpoint(path)
 
     def test_version_field_checked(self, tmp_path):

@@ -1,6 +1,10 @@
 """Windowing, splits, normalization, the training loop and ensembles."""
 
+import copy
 import os
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -222,6 +226,113 @@ class TestBlasThreadCap:
         assert [n for n, _ in uncapped] == [USABLE_CPUS] * 4
         for (_, a), (_, b) in zip(capped, uncapped):
             np.testing.assert_array_equal(a, b)
+
+
+def plain_copy(w: Window) -> Window:
+    """``w`` as a hand-built window that owns writable copies of its arrays."""
+    return Window(w.series_id, w.input.copy(), w.target.copy(), w.t_start, w.scale, w.offset)
+
+
+class TestWindowViews:
+    """Builder windows are read-only views into one float64 buffer per series."""
+
+    def split(self):
+        return split_tail(dataset(length=120, ids=("a", "b")), 20, 20)
+
+    @pytest.mark.parametrize("part", ["make_windows", "train", "val", "test"])
+    def test_one_read_only_buffer_per_series(self, part):
+        split = self.split()
+        values = {sp.series.id: sp.series.values for sp in split.splits}
+        if part == "make_windows":
+            values = {"series": np.arange(50.0)}
+            windows = make_windows(values["series"], 6, 3, stride=2)
+        else:
+            windows = getattr(split, f"{part}_windows")(12, 4, stride=2)
+        buffers = {}
+        for w in windows:
+            buf = buffers.setdefault(w.series_id, w.input.base)
+            assert buf is not None and buf.size <= len(values[w.series_id])
+            assert w.input.base is buf and w.target.base is buf
+            assert np.shares_memory(w.input, buf) and np.shares_memory(w.target, buf)
+            # t_start is absolute for every part, holdouts included
+            np.testing.assert_array_equal(w.input, values[w.series_id][w.t_start:w.target_start])
+            with pytest.raises(ValueError, match="read-only"):
+                w.input[0] = 0.0
+        assert sorted(buffers) == sorted(values)
+
+    def test_fields_cannot_be_reassigned(self):
+        w = make_windows(np.arange(10.0), 3, 2)[0]
+        with pytest.raises(FrozenInstanceError):
+            w.input = np.zeros(3)
+
+    @pytest.mark.parametrize("mode", ["per-series-median", "none"])
+    def test_views_hand_built_and_replaced_windows_normalize_alike(self, mode):
+        split = self.split()
+        scales = median_abs_scales(split)
+        # two buffers per series: the train and the validation region
+        windows = split.train_windows(12, 4) + split.val_windows(12, 4)
+        variants = {"views": windows,
+                    "hand-built": [plain_copy(w) for w in windows],
+                    "replaced": [replace(w, t_start=w.t_start) for w in windows]}
+        for name, ws in variants.items():
+            normalized, _ = normalize(ws, mode, scales)
+            for w, n in zip(windows, normalized):
+                s = scales[w.series_id] if mode == "per-series-median" else 1.0
+                assert n.input.tobytes() == (w.input / s).tobytes(), name
+                assert n.target.tobytes() == (w.target / s).tobytes(), name
+                assert (n.series_id, n.t_start, n.scale, n.offset) == \
+                    (w.series_id, w.t_start, s, 0.0), name
+
+    def test_replaced_input_is_the_one_normalized(self):
+        windows = make_windows(np.arange(1.0, 60.0), 6, 3, series_id="c")
+        moved = replace(windows[0], input=windows[5].input)
+        (n,), _ = normalize([moved], "per-series-median", {"c": 4.0})
+        assert n.input.tobytes() == (windows[5].input / 4.0).tobytes()
+        assert n.target.tobytes() == (windows[0].target / 4.0).tobytes()
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))])
+    def test_a_copy_normalizes_its_own_arrays(self, clone):
+        w = clone(make_windows(np.arange(10.0), 3, 2, series_id="c")[0])
+        w.input[:] = 8.0
+        (n,), _ = normalize([w], "per-series-median", {"c": 2.0})
+        np.testing.assert_array_equal(n.input, [4.0, 4.0, 4.0])
+
+    def test_training_on_views_equals_training_on_plain_copies(self):
+        split = split_tail(dataset(length=150, ids=("a", "b")), 20, 20)
+        tn = prepared_windows(split, "train", 12, 4, "per-series-median")
+        vn = prepared_windows(split, "val", 12, 4, "per-series-median")
+        template = BlockConfig(basis="midas", input_size=12, horizon=4, mlp_widths=(8,))
+        config = ModelConfig(stacks=(StackConfig(2, template),), input_size=12, horizon=4,
+                             base_ratio=0.5)
+
+        def run(train_w, val_w):
+            model = build_model(config, 4)
+            result = train(model, train_w, val_w,
+                           TrainConfig(iterations=40, batch_size=16, eval_every=10, seed=3))
+            rows = [(h.iteration, repr(h.train_loss), repr(h.val_mae)) for h in result.history]
+            return rows, {name: p.value.tobytes() for name, p in model.params.items()}
+
+        assert run(tn, vn) == run([plain_copy(w) for w in tn], [plain_copy(w) for w in vn])
+
+
+class TestWindowMemory:
+    def test_prepared_windows_hold_no_per_window_copies(self):
+        """At the paper's horizon the train part is 12,164 windows of 2,160 points:
+        a copy per window is ~200 MiB, the series themselves 219 KiB. What may grow
+        per window is the list of window objects (~0.5 KiB each, two lists alive)."""
+        rng = np.random.default_rng(0)
+        ds = TimeSeriesDataset(series=[Series(id=f"s{k}", values=rng.normal(size=7000))
+                                       for k in range(4)])
+        split = split_tail(ds, 720, 1080)
+        series_bytes = sum(s.values.nbytes for s in ds)
+        tracemalloc.start()
+        try:
+            windows = prepared_windows(split, "train", 1440, 720, "per-series-median")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 12164
+        assert peak < 10 * series_bytes + 2048 * len(windows)
 
 
 class TestNormalize:
