@@ -162,6 +162,8 @@ def _run_config(args) -> RunConfig:
     for key in ("seed", "jobs"):
         flag = getattr(args, key)
         config.sections["run"][key] = str(config.getint("run", key) if flag is None else flag)
+    if config.getint("run", "seed") < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.get('run', 'seed')}")
     if config.getint("run", "jobs") < 1:
         raise ConfigError(f"jobs must be >= 1, got {config.get('run', 'jobs')}")
     return config

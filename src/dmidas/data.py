@@ -199,6 +199,10 @@ class CsvSchema:
     time_column: str | None = "time"
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be exactly one character, got {self.delimiter!r}")
+
 
 def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> TimeSeriesDataset:
     """Strictly parse one series per distinct id; ordered by time when present.

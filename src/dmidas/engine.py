@@ -235,30 +235,46 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
 
 
 @lru_cache(maxsize=None)
-def interpolation_matrix(knots: int, horizon: int) -> Array:
-    """Weights mapping ``knots`` uniformly spaced coefficients to ``horizon`` steps.
+def _taps(knots: int, horizon: int) -> tuple[Array, Array, Array, Array]:
+    """Two taps per step: step t blends ``a[t] * theta[k1[t]] + b[t] * theta[k2[t]]``.
 
-    Knot k sits at real position k * (horizon / knots). Each output step t is
-    the linear blend of its surrounding knots; steps past the last knot extend
-    the final segment's slope (a single knot is held constant). Row t of the
-    returned (horizon, knots) matrix holds the blend weights for step t, so
-    the map is ``theta @ M.T`` and its Jacobian is exactly M.
+    Knot k sits at real position k * (horizon / knots), and step t at
+    pos = t * knots / horizon lies on the segment from k1 = min(floor(pos),
+    knots - 2) to k2 = k1 + 1, with weights a = 1 - (pos - k1) and
+    b = pos - k1. Steps past the last knot extend the final segment's slope.
+    A single knot is held constant: k1 = k2 = 0, a = 1 and b = 0.
     """
     if knots < 1:
         raise ConfigError("interpolation needs at least one knot")
     if knots > horizon:
         raise ConfigError(f"knot count {knots} exceeds horizon {horizon}")
-    weights = np.zeros((horizon, knots))
     if knots == 1:
-        weights[:, 0] = 1.0
-        weights.setflags(write=False)
-        return weights
-    for t in range(horizon):
-        pos = t * knots / horizon
-        k1 = min(int(pos), knots - 2)
-        frac = pos - k1
-        weights[t, k1] = 1.0 - frac
-        weights[t, k1 + 1] = frac
+        k1 = k2 = np.zeros(horizon, dtype=np.intp)
+        a, b = np.ones(horizon), np.zeros(horizon)
+    else:
+        pos = np.arange(horizon) * knots / horizon
+        k1 = np.minimum(pos.astype(np.intp), knots - 2)
+        k2 = k1 + 1
+        b = pos - k1
+        a = 1.0 - b
+    for arr in (k1, k2, a, b):
+        arr.setflags(write=False)
+    return k1, k2, a, b
+
+
+@lru_cache(maxsize=None)
+def interpolation_matrix(knots: int, horizon: int) -> Array:
+    """Weights mapping ``knots`` uniformly spaced coefficients to ``horizon`` steps.
+
+    Row t of the returned (horizon, knots) matrix holds the blend weights of
+    step t (see ``_taps``), so the map is ``theta @ M.T`` and its Jacobian is
+    exactly M.
+    """
+    k1, k2, a, b = _taps(knots, horizon)
+    rows = np.arange(horizon)
+    weights = np.zeros((horizon, knots))
+    weights[rows, k1] += a
+    weights[rows, k2] += b
     weights.setflags(write=False)
     return weights
 
@@ -277,27 +293,6 @@ def project(theta, basis: Array, tape: GradientTape | None = None):
     return _emit(out, (theta,), backward, tape, "project")
 
 
-@lru_cache(maxsize=None)
-def _interpolation_taps(knots: int, horizon: int) -> tuple[Array, Array, Array, Array, Array]:
-    """``interpolation_matrix(knots, horizon)`` and its two taps per row.
-
-    Row t of the matrix is zero outside columns k1[t] and k2[t], so step t is
-    ``a[t] * theta[k1[t]] + b[t] * theta[k2[t]]``. k1 is the row's first
-    nonzero column, capped at the last segment's start (a row can hold a zero
-    weight at k1 when its step falls exactly on the last knot). A single knot
-    has one tap: b is 0 and k2 stays in range at column 0.
-    """
-    m = interpolation_matrix(knots, horizon)
-    rows = np.arange(horizon)
-    k1 = np.minimum(np.argmax(m != 0.0, axis=1), max(knots - 2, 0))
-    k2 = np.minimum(k1 + 1, knots - 1)
-    a = m[rows, k1]
-    b = m[rows, k2] if knots > 1 else np.zeros(horizon)
-    for arr in (k1, k2, a, b):
-        arr.setflags(write=False)
-    return m, k1, k2, a, b
-
-
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
 
@@ -308,7 +303,8 @@ def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     knots = tv.shape[-1]
     if tv.ndim != 1:
         return project(theta, interpolation_matrix(knots, horizon), tape)
-    m, k1, k2, a, b = _interpolation_taps(knots, horizon)
+    k1, k2, a, b = _taps(knots, horizon)
+    m = interpolation_matrix(knots, horizon)
 
     def backward(g):
         return (g @ m,)

@@ -10,7 +10,7 @@ from .blocks import BlockConfig, PoolSpec
 from .data import TimeSeriesDataset
 from .errors import ConfigError, DataError, ShapeError
 from .model import MlpConfig, ModelConfig, StackConfig
-from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
+from .training import (EnsembleConfig, TrainConfig, child_seed, denormalize_forecast,
                        ensemble_forecast_batch, parallel_map, prepared_windows,
                        split_tail, train_ensemble)
 
@@ -156,11 +156,6 @@ def relative_improvement(report: MetricsReport, baseline_model: str) -> dict:
     return improvements
 
 
-def _cell_seed(root_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,))
-               .generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
-
-
 def model_config_for(spec: ModelSpec, input_size: int, horizon: int):
     """Materialize a buildable config for one benchmark column."""
     p = spec.params
@@ -255,7 +250,7 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
 
     def run_cell(args) -> MetricEntry:
         (spec, horizon), index = args
-        cell_seed = _cell_seed(seed, index)
+        cell_seed = child_seed(seed, index)
         try:
             input_size = int(spec.params.get("input_size",
                                              protocol.input_multiple * horizon))

@@ -8,7 +8,7 @@ import json
 import os
 import uuid
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,24 @@ class ModelConfig:
                     f"model (L={self.input_size}, H={self.horizon})")
         if not 0.0 < self.base_ratio <= 1.0:
             raise ConfigError(f"base ratio must lie in (0, 1], got {self.base_ratio}")
+        self._set_schedule("ratio_schedule", "exponential", float)
+        if self.ratio_schedule != "exponential" and not all(
+                0.0 < r <= 1.0 for r in self.ratio_schedule):
+            raise ConfigError(f"per-block ratios {self.ratio_schedule} must lie in (0, 1]")
+        if not isinstance(self.pooling_schedule, int):
+            self._set_schedule("pooling_schedule", "auto", int)
+
+    def _set_schedule(self, name: str, keyword: str, convert) -> None:
+        """Keep ``keyword``; store an explicit schedule as one converted value per block."""
+        schedule = getattr(self, name)
+        if isinstance(schedule, str):
+            if schedule != keyword:
+                raise ConfigError(f"unknown {name} '{schedule}'")
+            return
+        values = tuple(convert(v) for v in schedule)
+        if len(values) != self.total_blocks:
+            raise ConfigError(f"{name} lists {len(values)} values for {self.total_blocks} blocks")
+        object.__setattr__(self, name, values)
 
     @property
     def total_blocks(self) -> int:
@@ -96,52 +114,33 @@ def default_pool_kernel(ratio: float, input_size: int) -> int:
 
 def _resolve_blocks(config: ModelConfig) -> list[tuple[str, BlockConfig, bool]]:
     """Concrete per-block configs: (prefix, config, is_first_with_prefix)."""
-    ratios = None
-    if config.ratio_schedule == "exponential":
+    ratios = config.ratio_schedule
+    if ratios == "exponential":
         ratios = expressivity_schedule(config.base_ratio, config.total_blocks)
-    else:
-        ratios = [float(r) for r in config.ratio_schedule]
-        if len(ratios) != config.total_blocks:
-            raise ConfigError(f"ratio schedule lists {len(ratios)} values for "
-                              f"{config.total_blocks} blocks")
-        for r in ratios:
-            if not 0.0 < r <= 1.0:
-                raise ConfigError(f"per-block ratio {r} outside (0, 1]")
-
-    kernels = None
-    if isinstance(config.pooling_schedule, int):
-        kernels = [config.pooling_schedule] * config.total_blocks
-    elif config.pooling_schedule != "auto":
-        kernels = [int(k) for k in config.pooling_schedule]
-        if len(kernels) != config.total_blocks:
-            raise ConfigError(f"pooling schedule lists {len(kernels)} kernels for "
-                              f"{config.total_blocks} blocks")
+    kernels = config.pooling_schedule
+    if isinstance(kernels, int):
+        kernels = [kernels] * config.total_blocks
 
     resolved = []
-    l = 0
     for s_idx, stack in enumerate(config.stacks):
         for b_idx in range(stack.n_blocks):
+            l = len(resolved)
             template = stack.block_template
             if template.basis == "midas":
                 r_l = ratios[l]
-                kernel = (kernels[l] if kernels is not None
-                          else default_pool_kernel(r_l, template.input_size))
+                kernel = (default_pool_kernel(r_l, template.input_size)
+                          if kernels == "auto" else kernels[l])
                 pool = PoolSpec(kernel=kernel, stride=kernel, mode=template.pooling.mode)
                 bconf = replace(template, expressivity_ratio=r_l, pooling=pool)
             else:
                 bconf = template
-            if stack.shared_weights:
-                prefix = f"s{s_idx}.shared"
-                if b_idx > 0 and bconf != resolved[-1][1]:
-                    raise ConfigError(
-                        f"stack {s_idx} shares weights but its blocks resolve to "
-                        f"different shapes (is a varying ratio schedule in effect?)")
-                first = b_idx == 0
-            else:
-                prefix = f"s{s_idx}.b{b_idx}"
-                first = True
+            prefix = f"s{s_idx}.shared" if stack.shared_weights else f"s{s_idx}.b{b_idx}"
+            first = not stack.shared_weights or b_idx == 0
+            if not first and bconf != resolved[-1][1]:
+                raise ConfigError(
+                    f"stack {s_idx} shares weights but its blocks resolve to "
+                    f"different shapes (is a varying ratio schedule in effect?)")
             resolved.append((prefix, bconf, first))
-            l += 1
     return resolved
 
 
@@ -364,64 +363,25 @@ def generic_twin(config: ModelConfig) -> ModelConfig:
 # Checkpoints: single self-describing npz container
 # ---------------------------------------------------------------------------
 
-def _pool_to_dict(p: PoolSpec) -> dict:
-    return {"kernel": p.kernel, "stride": p.stride, "mode": p.mode}
-
-
-def _block_to_dict(b: BlockConfig) -> dict:
-    return {"basis": b.basis, "input_size": b.input_size, "horizon": b.horizon,
-            "mlp_widths": list(b.mlp_widths), "pooling": _pool_to_dict(b.pooling),
-            "expressivity_ratio": b.expressivity_ratio, "poly_degree": b.poly_degree,
-            "n_harmonics": b.n_harmonics}
-
-
-def _block_from_dict(d: dict) -> BlockConfig:
-    pool = d.get("pooling", {})
-    return BlockConfig(basis=d["basis"], input_size=d["input_size"], horizon=d["horizon"],
-                       mlp_widths=tuple(d["mlp_widths"]),
-                       pooling=PoolSpec(kernel=pool.get("kernel", 1),
-                                        stride=pool.get("stride"),
-                                        mode=pool.get("mode", "avg")),
-                       expressivity_ratio=d.get("expressivity_ratio", 1.0),
-                       poly_degree=d.get("poly_degree", 2),
-                       n_harmonics=d.get("n_harmonics", 4))
-
-
 def model_config_to_dict(config) -> dict:
-    if isinstance(config, MlpConfig):
-        return {"kind": "mlp", "input_size": config.input_size,
-                "horizon": config.horizon, "widths": list(config.widths)}
-    sched = config.ratio_schedule
-    if sched != "exponential":
-        sched = [float(r) for r in sched]
-    pooling = config.pooling_schedule
-    if pooling not in ("auto",) and not isinstance(pooling, int):
-        pooling = [int(k) for k in pooling]
-    return {"kind": "stacked", "input_size": config.input_size, "horizon": config.horizon,
-            "base_ratio": config.base_ratio, "ratio_schedule": sched,
-            "pooling_schedule": pooling,
-            "stacks": [{"n_blocks": s.n_blocks, "shared_weights": s.shared_weights,
-                        "block_template": _block_to_dict(s.block_template)}
-                       for s in config.stacks]}
+    """The config's dataclass fields, nested as plain JSON values, tagged by kind."""
+    return {"kind": "mlp" if isinstance(config, MlpConfig) else "stacked", **asdict(config)}
 
 
 def model_config_from_dict(d: dict):
-    kind = d.get("kind")
+    """Inverse of ``model_config_to_dict``; each dataclass validates its own fields."""
+    fields = dict(d)
+    kind = fields.pop("kind", None)
     if kind == "mlp":
-        return MlpConfig(d["input_size"], d["horizon"], tuple(d["widths"]))
+        return MlpConfig(**fields)
     if kind != "stacked":
         raise ConfigError(f"unknown model kind '{kind}' in checkpoint")
-    sched = d["ratio_schedule"]
-    if isinstance(sched, list):
-        sched = tuple(sched)
-    pooling = d["pooling_schedule"]
-    if isinstance(pooling, list):
-        pooling = tuple(pooling)
-    stacks = tuple(StackConfig(s["n_blocks"], _block_from_dict(s["block_template"]),
-                               s.get("shared_weights", False)) for s in d["stacks"])
-    return ModelConfig(stacks=stacks, input_size=d["input_size"], horizon=d["horizon"],
-                       base_ratio=d["base_ratio"], ratio_schedule=sched,
-                       pooling_schedule=pooling)
+    stacks = []
+    for stack in fields.pop("stacks"):
+        block = dict(stack["block_template"])
+        block["pooling"] = PoolSpec(**block["pooling"])
+        stacks.append(StackConfig(**{**stack, "block_template": BlockConfig(**block)}))
+    return ModelConfig(stacks=stacks, **fields)
 
 
 def save_checkpoint(model, path) -> None:
@@ -465,13 +425,14 @@ def load_checkpoint(path):
         version = meta.get("version")
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
-        config = model_config_from_dict(meta["config"])
+        model = build_any(model_config_from_dict(meta["config"]), seed=0)
         shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
+    except ConfigError as exc:
+        raise ConfigError(f"'{path}': {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"'{path}' has checkpoint metadata without key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
-    model = build_any(config, seed=0)
     missing = [name for name in model.params.names() if name not in shapes]
     if missing:
         raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")

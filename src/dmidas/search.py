@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .training import parallel_map
+from .training import child_seed, parallel_map
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
     drawn = []
     for index in range(budget):
         config = sample_config(space, rng)
-        trial_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-                         .generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
-        drawn.append((index, config, trial_seed))
+        drawn.append((index, config, child_seed(seed, index)))
 
     def run_trial(args) -> Trial:
         index, config, trial_seed = args

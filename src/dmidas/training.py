@@ -197,21 +197,15 @@ def normalize(windows: list[Window], mode: str,
               scales: dict[str, float] | None = None):
     """Rescale windows; returns (normalized windows, exact inverse transform).
 
-    per-series-median divides by the series scale (supply ``scales`` computed
-    from the training region; otherwise they are estimated from the given
-    windows). per-window-last subtracts the last input value. The inverse
-    restores original units via original = normalized * scale + offset.
+    per-series-median divides by the series scale and needs ``scales``
+    computed from the training region (see ``median_abs_scales``).
+    per-window-last subtracts the last input value. The inverse restores
+    original units via original = normalized * scale + offset.
     """
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization '{mode}'")
     if mode == "per-series-median" and scales is None:
-        scales = {}
-        by_id: dict[str, list[np.ndarray]] = {}
-        for w in windows:
-            by_id.setdefault(w.series_id, []).extend([w.input, w.target])
-        for sid, chunks in by_id.items():
-            med = float(np.median(np.abs(np.concatenate(chunks))))
-            scales[sid] = med if med > 0 else 1.0
+        raise ConfigError("per-series-median normalization needs per-series scales")
 
     normalized = []
     divided = {}  # id of a window buffer -> that buffer divided by its series scale
@@ -430,6 +424,13 @@ def _openblas_thread_controls() -> list:
                 controls.append((get, set_))
                 break
     return controls
+
+
+def child_seed(root_seed: int, index: int) -> int:
+    """The seed of task ``index`` under ``root_seed``: one independent stream per
+    benchmark cell or search trial, whatever order or thread runs it."""
+    return int(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,))
+               .generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
 
 
 def parallel_map(fn, items, jobs: int) -> list:

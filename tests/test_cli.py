@@ -148,6 +148,9 @@ MALFORMED_CONFIGS = {
     "text-seed": ("[model]", "[run]\nseed = x\n\n[model]"),
     "text-jobs": ("[model]", "[run]\njobs = x\n\n[model]"),
     "zero-jobs": ("[model]", "[run]\njobs = 0\n\n[model]"),
+    "negative-seed": ("[model]", "[run]\nseed = -1\n\n[model]"),
+    "long-delimiter": ("[training]", "[data]\ndelimiter = ;;\n\n[training]"),
+    "empty-delimiter": ("[training]", "[data]\ndelimiter =\n\n[training]"),
     "no-section-header": ("\n[model]", "iterations = 60\n\n[model]"),
     "duplicate-key": ("iterations = 60", "iterations = 60\niterations = 60"),
     "bare-percent": ("[training]", "[data]\ndelimiter = %\n\n[training]"),
@@ -276,26 +279,37 @@ class TestTrain:
         assert open(data, "rb").read() == before
 
 
+RUN_COMMANDS = ["train", "evaluate", "evaluate --checkpoints", "forecast", "decompose", "search"]
+
+
+def _assert_flag_rejected(workspace, capsys, command, flag, message):
+    """``command`` with ``flag`` exits 1 with ``message`` and writes nothing."""
+    tmp_path, config, data = workspace
+    run = tmp_path / "run"
+    assert main(["train", data, "--config", config, "--out", str(run)]) == 0
+    extra = {
+        "evaluate --checkpoints": ["--checkpoints", str(run / "checkpoints")],
+        "forecast": ["--checkpoints", str(run / "checkpoints")],
+        "decompose": ["--checkpoint", str(run / "checkpoints" / "member_0.npz")],
+        "search": ["--budget", "1"],
+    }.get(command, [])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([command.split()[0], data, "--config", config, "--out", str(out),
+                 *flag, *extra])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
 class TestJobsOption:
-    @pytest.mark.parametrize("command", ["train", "evaluate", "evaluate --checkpoints",
-                                         "forecast", "decompose", "search"])
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
     def test_jobs_zero_exit_one(self, workspace, capsys, command):
-        tmp_path, config, data = workspace
-        run = tmp_path / "run"
-        assert main(["train", data, "--config", config, "--out", str(run)]) == 0
-        extra = {
-            "evaluate --checkpoints": ["--checkpoints", str(run / "checkpoints")],
-            "forecast": ["--checkpoints", str(run / "checkpoints")],
-            "decompose": ["--checkpoint", str(run / "checkpoints" / "member_0.npz")],
-            "search": ["--budget", "1"],
-        }.get(command, [])
-        out = tmp_path / "out"
-        capsys.readouterr()
-        code = main([command.split()[0], data, "--config", config, "--out", str(out),
-                     "--jobs", "0", *extra])
-        assert code == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
-        assert list(tmp_path.glob("out*")) == []
+        _assert_flag_rejected(workspace, capsys, command, ["--jobs", "0"], "jobs must be >= 1")
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_negative_seed_exit_one(self, workspace, capsys, command):
+        _assert_flag_rejected(workspace, capsys, command, ["--seed", "-1"], "seed must be >= 0")
 
 
 class TestEvaluate:
@@ -419,6 +433,28 @@ class TestForecastAndDecompose:
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 1
         assert "member_0.npz" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("ratio_schedule", "linear"),
+                                            ("pooling_schedule", "x")])
+    def test_checkpoint_with_unknown_schedule_exits_one(self, workspace, capsys, key, value):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        ckpt = run / "checkpoints" / "member_0.npz"
+        with np.load(ckpt) as npz:
+            meta = json.loads(bytes(npz["__meta__"]).decode())
+            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+        meta["config"][key] = value
+        with open(ckpt, "wb") as handle:
+            np.savez(handle, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **arrays)
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", data, "--config", config, "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+        assert "member_0.npz" in err and f"'{value}'" in err
         assert not out.exists()
 
     def test_window_selector_out_of_range(self, workspace):

@@ -268,7 +268,8 @@ class TestInterpUpsample:
     def test_taps_are_the_matrix_nonzeros_exactly(self):
         for horizon in range(1, 41):
             for knots in range(1, horizon + 1):
-                m, k1, k2, a, b = engine._interpolation_taps(knots, horizon)
+                m = interpolation_matrix(knots, horizon)
+                k1, k2, a, b = engine._taps(knots, horizon)
                 rebuilt = np.zeros_like(m)
                 rows = np.arange(horizon)
                 rebuilt[rows, k1] += a

@@ -10,7 +10,7 @@ from dmidas.errors import ConfigError, DataError
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
                           build_mlp_baseline, build_model, count_parameters,
                           expressivity_schedule, generic_twin, load_checkpoint,
-                          model_config_to_dict, save_checkpoint)
+                          model_config_from_dict, model_config_to_dict, save_checkpoint)
 
 
 def midas_model(input_size=24, horizon=8, blocks=3, widths=(8, 8), ratio=0.5, seed=0):
@@ -57,6 +57,29 @@ class TestSchedules:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         knots = [b.config.theta_sizes()[0] for b in model.blocks]
         assert all(a >= b for a, b in zip(knots, knots[1:]))
+
+    @pytest.mark.parametrize("schedules, message", [
+        ({"ratio_schedule": [0.5, 0.25]}, "lists 2 values for 3 blocks"),
+        ({"ratio_schedule": [0.5, 1.5, 0.25]}, r"must lie in \(0, 1\]"),
+        ({"ratio_schedule": [0.5, 0.0, 0.25]}, r"must lie in \(0, 1\]"),
+        ({"ratio_schedule": "linear"}, "unknown ratio_schedule 'linear'"),
+        ({"pooling_schedule": [2, 2, 2, 2]}, "lists 4 values for 3 blocks"),
+        ({"pooling_schedule": "x"}, "unknown pooling_schedule 'x'"),
+    ])
+    def test_bad_schedule_raises_at_construction(self, schedules, message):
+        template = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(stacks=(StackConfig(3, template),), input_size=24, horizon=8,
+                        base_ratio=0.5, **schedules)
+
+    def test_explicit_schedules_are_stored_as_tuples(self):
+        template = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        cfg = ModelConfig(stacks=(StackConfig(2, template),), input_size=24, horizon=8,
+                          ratio_schedule=[1, 0.5], pooling_schedule=[2, 4])
+        assert cfg.ratio_schedule == (1.0, 0.5)
+        assert cfg.pooling_schedule == (2, 4)
+        assert ModelConfig(stacks=cfg.stacks, input_size=24, horizon=8,
+                           pooling_schedule=3).pooling_schedule == 3
 
     def test_default_pooling_kernels_coarsen(self):
         cfg, model = midas_model(input_size=64, horizon=16, blocks=3, ratio=0.5)
@@ -282,6 +305,51 @@ def drop_checkpoint_parameter(path, name, keep_meta):
         np.savez(handle, __meta__=meta_bytes, **arrays)
 
 
+GOLDEN_CONFIGS = {
+    "dmidas": '{"base_ratio": 0.5, "horizon": 4, "input_size": 8, "kind": "stacked", '
+              '"pooling_schedule": [2, 1], "ratio_schedule": [0.5, 0.25], "stacks": '
+              '[{"block_template": {"basis": "midas", "expressivity_ratio": 1.0, "horizon": 4, '
+              '"input_size": 8, "mlp_widths": [2], "n_harmonics": 4, "poly_degree": 2, '
+              '"pooling": {"kernel": 1, "mode": "avg", "stride": null}}, "n_blocks": 2, '
+              '"shared_weights": false}]}',
+    "nbeats-i": '{"base_ratio": 1.0, "horizon": 4, "input_size": 8, "kind": "stacked", '
+                '"pooling_schedule": "auto", "ratio_schedule": "exponential", "stacks": '
+                '[{"block_template": {"basis": "polynomial", "expressivity_ratio": 1.0, '
+                '"horizon": 4, "input_size": 8, "mlp_widths": [2], "n_harmonics": 4, '
+                '"poly_degree": 1, "pooling": {"kernel": 1, "mode": "avg", "stride": null}}, '
+                '"n_blocks": 2, "shared_weights": true}, {"block_template": {"basis": '
+                '"harmonic", "expressivity_ratio": 1.0, "horizon": 4, "input_size": 8, '
+                '"mlp_widths": [2], "n_harmonics": 1, "poly_degree": 2, "pooling": {"kernel": 1, '
+                '"mode": "avg", "stride": null}}, "n_blocks": 2, "shared_weights": true}]}',
+    "mlp": '{"horizon": 4, "input_size": 8, "kind": "mlp", "widths": [3]}',
+}
+
+
+def golden_config(name):
+    """Small fixed configs whose checkpoint config JSON is pinned in GOLDEN_CONFIGS."""
+    if name == "mlp":
+        return MlpConfig(8, 4, (3,))
+    if name == "dmidas":
+        midas = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(2,))
+        return ModelConfig((StackConfig(2, midas),), 8, 4, base_ratio=0.5,
+                           ratio_schedule=[0.5, 0.25], pooling_schedule=[2, 1])
+    trend = BlockConfig(basis="polynomial", input_size=8, horizon=4, mlp_widths=(2,),
+                        poly_degree=1)
+    season = BlockConfig(basis="harmonic", input_size=8, horizon=4, mlp_widths=(2,),
+                         n_harmonics=1)
+    return ModelConfig((StackConfig(2, trend, True), StackConfig(2, season, True)), 8, 4)
+
+
+def edit_checkpoint_config(path, edit):
+    """Apply ``edit`` to a saved checkpoint's config dict in place, keeping its arrays."""
+    with np.load(path) as npz:
+        meta = json.loads(bytes(npz["__meta__"]).decode())
+        arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+    edit(meta["config"])
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **arrays)
+
+
 class TestCheckpoints:
     def test_roundtrip_preserves_forecasts(self, tmp_path):
         cfg, model = midas_model(seed=21)
@@ -407,6 +475,49 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         drop_checkpoint_parameter(path, "s0.b1.theta_f.bias", keep_meta=True)
         with pytest.raises(ConfigError, match=r"'s0\.b1\.theta_f\.bias' has no array"):
+            load_checkpoint(path)
+
+    def test_list_schedules_survive_a_reload(self, tmp_path):
+        template = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        cfg = ModelConfig(stacks=(StackConfig(3, template),), input_size=24, horizon=8,
+                          base_ratio=0.5, ratio_schedule=[0.5, 0.25, 0.125],
+                          pooling_schedule=[2, 4, 8])
+        save_checkpoint(build_model(cfg, 0), tmp_path / "m.npz")
+        assert load_checkpoint(tmp_path / "m.npz").config == cfg
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_config_format_is_pinned(self, tmp_path, name):
+        cfg = golden_config(name)
+        save_checkpoint(build_any(cfg, 0), tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as npz:
+            meta = bytes(npz["__meta__"]).decode()
+        assert f'"config": {GOLDEN_CONFIGS[name]}, "params": ' in meta
+        assert model_config_from_dict(json.loads(GOLDEN_CONFIGS[name])) == cfg
+
+    @pytest.mark.parametrize("key, value", [("ratio_schedule", "linear"),
+                                            ("pooling_schedule", "x")])
+    def test_bad_schedule_in_checkpoint_is_config_error_naming_it(self, tmp_path, key, value):
+        path = tmp_path / "member_0.npz"
+        save_checkpoint(midas_model()[1], path)
+        edit_checkpoint_config(path, lambda config: config.update({key: value}))
+        with pytest.raises(ConfigError, match=rf"member_0\.npz.*'{value}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", [(), ("stacks", 0), ("stacks", 0, "block_template"),
+                                       ("stacks", 0, "block_template", "pooling"), "mlp"],
+                             ids=["model", "stack", "block", "pooling", "mlp"])
+    def test_unknown_config_key_in_checkpoint_rejected(self, tmp_path, where):
+        path = tmp_path / "m.npz"
+        save_checkpoint(build_any(MlpConfig(8, 4, (3,)) if where == "mlp"
+                                  else midas_model()[0], 0), path)
+
+        def add_unknown_key(config):
+            for key in () if where == "mlp" else where:
+                config = config[key]
+            config["dropout"] = 0.1
+
+        edit_checkpoint_config(path, add_unknown_key)
+        with pytest.raises(ConfigError, match=r"m\.npz.*dropout"):
             load_checkpoint(path)
 
     def test_build_any_dispatch(self):

@@ -355,7 +355,7 @@ class TestNormalize:
     def test_roundtrip_tolerance(self):
         for mode in ("none", "per-series-median", "per-window-last"):
             original = self.windows()
-            normalized, inverse = normalize(original, mode)
+            normalized, inverse = normalize(original, mode, {"series": 7.0})
             restored = inverse(normalized)
             for w, r in zip(original, restored):
                 assert np.max(np.abs(w.input - r.input)) < 1e-12
@@ -374,6 +374,10 @@ class TestNormalize:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             normalize(self.windows(), "zscore")
+
+    def test_per_series_median_needs_scales(self):
+        with pytest.raises(ConfigError, match="scales"):
+            normalize(self.windows(), "per-series-median")
 
 
 class TestTrainLoop:
