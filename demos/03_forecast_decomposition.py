@@ -10,7 +10,7 @@ most (knots - 1) times.
 import numpy as np
 
 import dmidas as dm
-from dmidas.data import export_results
+from dmidas.data import write_decomposition_csv
 
 rng = np.random.default_rng(7)
 
@@ -56,6 +56,6 @@ for label, component, block in zip(bundle.block_labels, bundle.components, model
           f"(bound {knots - 1:>2})  range {spread:6.3f}")
 
 out = "decomposition.csv"
-export_results(bundle, out, "csv")
+write_decomposition_csv(bundle, out)
 print()
 print(f"decomposition written to {out} (columns: t, forecast, component_1..K)")

@@ -7,7 +7,7 @@ original units. The whole run is reproducible from the single seed.
 """
 
 import dmidas as dm
-from dmidas.data import export_results
+from dmidas.data import write_metrics_json
 from dmidas.metrics import (BenchmarkProtocol, ModelSpec, relative_improvement,
                             render_table, run_benchmark)
 
@@ -24,7 +24,6 @@ protocol = BenchmarkProtocol(
     val_len=192, test_len=192,
     train=dm.TrainConfig(iterations=400, batch_size=64, eval_every=100, loss_kind="mae"),
     ensemble=dm.EnsembleConfig(n_members=2),
-    input_multiple=3,
 )
 
 specs = [
@@ -50,6 +49,6 @@ for (ds, h, model), pct in sorted(improvements.items()):
         continue
     print(f"  H={h:<4} {model:<10} MAE {pct['mae']:+6.1f}%   RMSE {pct['rmse']:+6.1f}%")
 
-export_results(report, "metrics.json", "json")
+write_metrics_json(report, "metrics.json")
 print()
 print("nested (dataset -> horizon -> model) report written to metrics.json")

@@ -8,15 +8,16 @@ from .engine import (GradCheckReport, GradientTape, Tensor, affine, grad_check,
 from .errors import (ConfigError, DataError, DmidasError, NumericsError,
                      ShapeError, TrainingError)
 from .params import OptimizerState, Param, ParameterStore, adam_step, l1_penalty
-from .blocks import (BlockConfig, BlockOutput, PoolSpec, block_forward,
-                     generic_basis, harmonic_basis, midas_basis, polynomial_basis)
+from .blocks import (BlockConfig, BlockOutput, PoolSpec, generic_basis,
+                     harmonic_basis, midas_basis, polynomial_basis)
 from .model import (ForecastBundle, MlpConfig, ModelConfig, StackConfig,
                     build_any, build_mlp_baseline, build_model, count_parameters,
                     expressivity_schedule, generic_twin, load_checkpoint,
                     save_checkpoint)
 from .data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid,
-                   SyntheticSpec, TimeSeriesDataset, export_results,
-                   generate_synthetic, load_csv, multifreq_v1, save_dataset_csv)
+                   SyntheticSpec, TimeSeriesDataset, generate_synthetic, load_csv,
+                   multifreq_v1, save_dataset_csv, write_decomposition_csv,
+                   write_metrics_json)
 from .training import (EnsembleConfig, TrainConfig, TrainResult, Window,
                        ensemble_forecast, make_windows, median_abs_scales,
                        normalize, prepared_windows, split_tail, train,

@@ -225,9 +225,3 @@ class Block:
         if self.config.basis == "midas":
             return f"{self.prefix}:midas(r={self.config.expressivity_ratio:g})"
         return f"{self.prefix}:{self.config.basis}"
-
-
-def block_forward(config: BlockConfig, params: ParameterStore, y_in,
-                  prefix: str = "block0", tape: GradientTape | None = None) -> BlockOutput:
-    """Run one block forward; params must already hold the prefixed layers."""
-    return Block(config, prefix).forward(params, y_in, tape)

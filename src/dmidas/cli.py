@@ -362,7 +362,7 @@ def cmd_evaluate(args) -> int:
         horizons = config.getlist("evaluation", "horizons")
         report = metrics_mod.run_benchmark(dataset, specs, horizons, protocol,
                                            seed=seed, jobs=config.getint("run", "jobs"))
-    data_mod.export_results(report, out / "metrics.json", "json")
+    data_mod.write_metrics_json(report, out / "metrics.json")
     table = metrics_mod.render_table(report)
     with open(out / "metrics.txt", "w", encoding="utf-8") as handle:
         handle.write(table + "\n")
@@ -438,7 +438,7 @@ def cmd_decompose(args) -> int:
     bundle.components = [c * window.scale for c in bundle.components]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    data_mod.export_results(bundle, out, "csv")
+    data_mod.write_decomposition_csv(bundle, out)
     write_resolved_config(config, str(out) + ".resolved")
     print(f"wrote decomposition with {len(bundle.components)} components to {out}")
     return EXIT_OK
@@ -529,12 +529,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dmidas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, config_required=True, needs_out=True):
-        p.add_argument("--config", required=config_required, help="run config file (INI)")
+    def common(p):
+        p.add_argument("--config", required=True, help="run config file (INI)")
         p.add_argument("--seed", type=int, default=None, help="root random seed ([run] seed)")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers ([run] jobs)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     p.add_argument("spec", help="preset name or synthetic spec JSON file")

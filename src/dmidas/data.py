@@ -28,8 +28,6 @@ class Series:
 
     id: str
     values: np.ndarray
-    start_timestamp: object = None
-    frequency: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -166,7 +164,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TimeSeriesDataset:
             values += comp.sample(t)
         else:
             raise ConfigError(f"unknown synthetic component {type(comp).__name__}")
-    series = Series(id=spec.name, values=values, frequency="synthetic")
+    series = Series(id=spec.name, values=values)
     return TimeSeriesDataset(series=[series], name=spec.name)
 
 
@@ -282,81 +280,46 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     return TimeSeriesDataset(series=series, name=name or str(path))
 
 
-def save_dataset_csv(dataset: TimeSeriesDataset, path, delimiter: str = ",") -> None:
+def save_dataset_csv(dataset: TimeSeriesDataset, path) -> None:
     """Write id,time,value rows; floats as shortest round-trip decimals."""
     try:
         handle = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write '{path}': {exc}") from None
     with handle:
-        writer = csv.writer(handle, delimiter=delimiter)
+        writer = csv.writer(handle)
         writer.writerow(["id", "time", "value"])
         for s in dataset:
             for t, v in enumerate(s.values):
                 writer.writerow([s.id, t, repr(float(v))])
 
 
-def export_results(obj, path, format: str = "csv") -> None:
-    """Write a forecast decomposition (csv/json) or a metrics report (json/csv).
+def write_decomposition_csv(bundle, path) -> None:
+    """Write a forecast decomposition: t, forecast, component_1..component_K.
 
-    Decomposition CSV columns are t, forecast, component_1..component_K with
-    one row per horizon step; metrics JSON nests dataset -> horizon -> model
-    -> {mae, rmse}. Values round-trip at full float64 precision.
+    One row per horizon step; values round-trip at full float64 precision.
     """
-    if hasattr(obj, "components") and hasattr(obj, "forecast"):
-        _export_bundle(obj, path, format)
-    elif hasattr(obj, "entries"):
-        _export_report(obj, path, format)
-    else:
-        raise ConfigError(f"cannot export object of type {type(obj).__name__}")
-
-
-def _export_bundle(bundle, path, format: str) -> None:
-    k = len(bundle.components)
-    if format == "csv":
-        try:
-            handle = open(path, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write '{path}': {exc}") from None
-        with handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "forecast"] + [f"component_{i + 1}" for i in range(k)])
-            for t in range(len(bundle.forecast)):
-                row = [t, repr(float(bundle.forecast[t]))]
-                row += [repr(float(c[t])) for c in bundle.components]
-                writer.writerow(row)
-    elif format == "json":
-        payload = {"forecast": [float(v) for v in bundle.forecast],
-                   "components": [[float(v) for v in c] for c in bundle.components],
-                   "block_labels": list(bundle.block_labels)}
-        _write_json(payload, path)
-    else:
-        raise ConfigError(f"unknown export format '{format}'")
-
-
-def _export_report(report, path, format: str) -> None:
-    if format == "json":
-        _write_json(report.to_nested(), path)
-    elif format == "csv":
-        try:
-            handle = open(path, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write '{path}': {exc}") from None
-        with handle:
-            writer = csv.writer(handle)
-            writer.writerow(["dataset", "horizon", "model", "mae", "rmse"])
-            for e in report.entries:
-                writer.writerow([e.dataset, e.horizon, e.model,
-                                 "" if e.mae is None else repr(float(e.mae)),
-                                 "" if e.rmse is None else repr(float(e.rmse))])
-    else:
-        raise ConfigError(f"unknown export format '{format}'")
-
-
-def _write_json(payload, path) -> None:
-    """Strict JSON only: a NaN or infinite value raises before the file is opened."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        handle = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write '{path}': {exc}") from None
+    with handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "forecast"]
+                        + [f"component_{i + 1}" for i in range(len(bundle.components))])
+        for t in range(len(bundle.forecast)):
+            row = [t, repr(float(bundle.forecast[t]))]
+            row += [repr(float(c[t])) for c in bundle.components]
+            writer.writerow(row)
+
+
+def write_metrics_json(report, path) -> None:
+    """Write a metrics report nested dataset -> horizon -> model -> {mae, rmse}.
+
+    Strict JSON only: a NaN or infinite value raises before the file is opened.
+    """
+    try:
+        text = json.dumps(report.to_nested(), indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericsError(f"cannot write '{path}': {exc}") from None
     try:

@@ -52,18 +52,30 @@ def seasonal_naive_forecast(y_in, horizon: int, period: int) -> np.ndarray:
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
+_PARAM_KEYS = frozenset(
+    "input_size stacks blocks_per_stack mlp_widths shared_weights base_ratio ratio_schedule "
+    "pooling_schedule pooling_mode poly_degree n_harmonics period".split())
+
+
 @dataclass
 class ModelSpec:
     """One column of the benchmark: a named model family plus its knobs.
 
     Kinds: dmidas, nbeats-g, nbeats-i, mlp, seasonal-naive. ``params`` may
-    carry stacks, blocks_per_stack, mlp_widths, base_ratio, pooling_mode,
-    poly_degree, n_harmonics, period (naive), input_multiple.
+    carry input_size (default 3 x horizon), stacks, blocks_per_stack,
+    mlp_widths, shared_weights, base_ratio, ratio_schedule, pooling_schedule,
+    pooling_mode, poly_degree, n_harmonics and period (naive); any other key
+    is a ConfigError.
     """
 
     name: str
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.params) - _PARAM_KEYS)
+        if unknown:
+            raise ConfigError(f"model '{self.name}' has unknown param '{unknown[0]}'")
 
 
 @dataclass
@@ -74,14 +86,11 @@ class BenchmarkProtocol:
     test_len: int
     train: TrainConfig = field(default_factory=TrainConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    input_multiple: int = 3
     scope: str = "global"
 
     def __post_init__(self):
         if self.scope not in ("global", "per-series"):
             raise ConfigError(f"unknown scope '{self.scope}'")
-        if self.input_multiple < 1:
-            raise ConfigError("input_multiple must be >= 1")
 
 
 @dataclass
@@ -93,7 +102,6 @@ class MetricEntry:
     rmse: float | None
     n_windows: int = 0
     error: str | None = None
-    window_records: list = field(default_factory=list)
 
 
 @dataclass
@@ -190,8 +198,7 @@ def model_config_for(spec: ModelSpec, input_size: int, horizon: int):
     raise ConfigError(f"unknown model kind '{spec.kind}'")
 
 
-def score_windows(windows, forecasts, dataset: str, horizon: int, model: str,
-                  keep_records: bool = False) -> MetricEntry:
+def score_windows(windows, forecasts, dataset: str, horizon: int, model: str) -> MetricEntry:
     """Score forecasts against their windows' targets, both in original units.
 
     ``forecasts[i]`` is in the normalized units of ``windows[i]``. Per-window
@@ -201,20 +208,16 @@ def score_windows(windows, forecasts, dataset: str, horizon: int, model: str,
     if not windows:
         raise DataError(f"no test windows to score for model '{model}' at horizon "
                         f"{horizon} on dataset '{dataset}'")
-    records = []
     by_series: dict[str, list[tuple[float, float]]] = {}
     for w, fc in zip(windows, forecasts):
         yhat = denormalize_forecast(w, fc)
         truth = denormalize_forecast(w, w.target)
-        rec = (w.series_id, mae(truth, yhat), rmse(truth, yhat))
-        records.append(rec)
-        by_series.setdefault(w.series_id, []).append(rec[1:])
+        by_series.setdefault(w.series_id, []).append((mae(truth, yhat), rmse(truth, yhat)))
     maes = [float(np.mean([m for m, _ in recs])) for recs in by_series.values()]
     rmses = [float(np.mean([r for _, r in recs])) for recs in by_series.values()]
     return MetricEntry(dataset=dataset, horizon=horizon, model=model,
                        mae=float(np.mean(maes)), rmse=float(np.mean(rmses)),
-                       n_windows=len(records),
-                       window_records=records if keep_records else [])
+                       n_windows=len(windows))
 
 
 def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
@@ -240,7 +243,7 @@ def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
 
 def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
                   horizons: list[int], protocol: BenchmarkProtocol, seed: int = 0,
-                  jobs: int = 1, keep_forecasts: bool = False) -> MetricsReport:
+                  jobs: int = 1) -> MetricsReport:
     """Train and score every (model, horizon) cell; failures flag the cell only.
 
     Test windows roll over the holdout region with stride = horizon, so their
@@ -252,8 +255,7 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
         (spec, horizon), index = args
         cell_seed = child_seed(seed, index)
         try:
-            input_size = int(spec.params.get("input_size",
-                                             protocol.input_multiple * horizon))
+            input_size = int(spec.params.get("input_size", 3 * horizon))
             split = split_tail(dataset, protocol.val_len, protocol.test_len)
             if spec.kind == "seasonal-naive":
                 period = int(spec.params.get("period", 1))
@@ -263,8 +265,7 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
             else:
                 windows, forecasts = _forecast_trained(spec, horizon, input_size, split,
                                                        protocol, cell_seed)
-            return score_windows(windows, forecasts, dataset.name, horizon, spec.name,
-                                 keep_records=keep_forecasts)
+            return score_windows(windows, forecasts, dataset.name, horizon, spec.name)
         except Exception as exc:
             return MetricEntry(dataset=dataset.name, horizon=horizon, model=spec.name,
                                mae=None, rmse=None, error=str(exc))
@@ -273,7 +274,7 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
     return MetricsReport(entries=entries)
 
 
-def render_table(report: MetricsReport, mark_best: bool = True) -> str:
+def render_table(report: MetricsReport) -> str:
     """Aligned text table: (dataset, horizon) rows with MAE/RMSE sub-rows,
     one column per model; the row minimum is marked with '*'."""
     models: list[str] = []
@@ -291,7 +292,7 @@ def render_table(report: MetricsReport, mark_best: bool = True) -> str:
             return "ERR"
         value = getattr(entry, metric)
         text = f"{value:.4f}"
-        if mark_best and best is not None and value == best:
+        if best is not None and value == best:
             text += "*"
         return text
 

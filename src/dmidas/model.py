@@ -435,15 +435,15 @@ def load_checkpoint(path):
         raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
     missing = [name for name in model.params.names() if name not in shapes]
     if missing:
-        raise ConfigError(f"checkpoint is missing parameter '{missing[0]}' of its model")
+        raise ConfigError(f"'{path}': checkpoint is missing parameter '{missing[0]}' of its model")
     for name, shape in shapes.items():
         if name not in model.params:
-            raise ConfigError(f"checkpoint parameter '{name}' not present in model")
+            raise ConfigError(f"'{path}': checkpoint parameter '{name}' not present in model")
         if "p:" + name not in arrays:
-            raise ConfigError(f"checkpoint parameter '{name}' has no array")
+            raise ConfigError(f"'{path}': checkpoint parameter '{name}' has no array")
         arr = arrays["p:" + name]
         if list(arr.shape) != shape or arr.shape != model.params[name].value.shape:
-            raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
+            raise ConfigError(f"'{path}': checkpoint parameter '{name}' has shape {arr.shape}, "
                               f"expected {model.params[name].value.shape}")
         model.params[name].value[...] = arr
     return model

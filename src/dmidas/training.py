@@ -68,12 +68,14 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.l1_lambda < 0:
-            raise ConfigError(f"l1 lambda must be >= 0, got {self.l1_lambda}")
+        if not (np.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
+            raise ConfigError(f"l1 lambda must be finite and >= 0, got {self.l1_lambda}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.early_stop_patience < 1:
@@ -382,6 +384,8 @@ class EnsembleConfig:
         if self.member_seeds is not None and len(self.member_seeds) != self.n_members:
             raise ConfigError(f"{len(self.member_seeds)} seeds given for "
                               f"{self.n_members} members")
+        if self.member_seeds is not None and min(self.member_seeds) < 0:
+            raise ConfigError(f"member seeds must be >= 0, got {list(self.member_seeds)}")
 
     def resolved_seeds(self, base_seed: int) -> list[int]:
         if self.member_seeds is not None:

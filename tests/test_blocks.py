@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmidas import engine
-from dmidas.blocks import (Block, BlockConfig, PoolSpec, block_forward,
-                           generic_basis, harmonic_basis, knot_count,
-                           midas_basis, polynomial_basis)
+from dmidas.blocks import (Block, BlockConfig, PoolSpec, generic_basis,
+                           harmonic_basis, knot_count, midas_basis,
+                           polynomial_basis)
 from dmidas.engine import GradientTape, Tensor, grad_check
 from dmidas.errors import ConfigError
 from dmidas.params import ParameterStore
@@ -131,7 +131,7 @@ class TestBlockForward:
         cfg = self.small_config("generic")
         store = build_block(cfg)
         zero_params(store)
-        out = block_forward(cfg, store, np.random.default_rng(0).normal(size=12))
+        out = Block(cfg, "block0").forward(store, np.random.default_rng(0).normal(size=12))
         assert not engine.value_of(out.forecast).any()
         assert not engine.value_of(out.backcast).any()
 
@@ -139,7 +139,7 @@ class TestBlockForward:
         for basis in ("generic", "polynomial", "harmonic", "midas"):
             cfg = self.small_config(basis, expressivity_ratio=0.5)
             store = build_block(cfg)
-            out = block_forward(cfg, store, np.zeros(12))
+            out = Block(cfg, "block0").forward(store, np.zeros(12))
             assert engine.value_of(out.forecast).shape == (6,)
             assert engine.value_of(out.backcast).shape == (12,)
 
@@ -147,8 +147,8 @@ class TestBlockForward:
         cfg = self.small_config("midas", expressivity_ratio=0.5)
         store = build_block(cfg, seed=4)
         x = np.random.default_rng(5).normal(size=12)
-        a = engine.value_of(block_forward(cfg, store, x).forecast)
-        b = engine.value_of(block_forward(cfg, store, x).forecast)
+        a = engine.value_of(Block(cfg, "block0").forward(store, x).forecast)
+        b = engine.value_of(Block(cfg, "block0").forward(store, x).forecast)
         assert np.array_equal(a, b)
 
     def test_degenerate_midas_equals_generic(self):
@@ -158,15 +158,15 @@ class TestBlockForward:
                                   pooling=PoolSpec(kernel=1, stride=1))
         store = build_block(generic, seed=9)
         x = np.random.default_rng(10).normal(size=12)
-        out_g = block_forward(generic, store, x)
-        out_m = block_forward(midas, store, x)
+        out_g = Block(generic, "block0").forward(store, x)
+        out_m = Block(midas, "block0").forward(store, x)
         assert np.array_equal(engine.value_of(out_g.forecast), engine.value_of(out_m.forecast))
         assert np.array_equal(engine.value_of(out_g.backcast), engine.value_of(out_m.backcast))
 
     def test_missing_parameter_is_config_error(self):
         cfg = self.small_config("generic")
         with pytest.raises(ConfigError, match="missing parameter"):
-            block_forward(cfg, ParameterStore(), np.zeros(12))
+            Block(cfg, "block0").forward(ParameterStore(), np.zeros(12))
 
     def test_midas_forecast_slope_change_bound(self):
         # knots divide the horizon evenly here, so interior slope changes of
@@ -178,7 +178,7 @@ class TestBlockForward:
         rng = np.random.default_rng(11)
         for seed in range(20):
             store = build_block(cfg, seed=seed)
-            out = block_forward(cfg, store, rng.normal(size=32))
+            out = Block(cfg, "block0").forward(store, rng.normal(size=32))
             changes = count_slope_changes(engine.value_of(out.forecast))
             assert changes <= knots - 1
 
@@ -191,7 +191,7 @@ class TestBlockForward:
                           mlp_widths=(4,), expressivity_ratio=ratio,
                           pooling=PoolSpec(kernel=min(2, input_size)))
         store = build_block(cfg)
-        out = block_forward(cfg, store, np.zeros(input_size))
+        out = Block(cfg, "block0").forward(store, np.zeros(input_size))
         assert engine.value_of(out.forecast).shape == (horizon,)
         assert engine.value_of(out.backcast).shape == (input_size,)
 
@@ -205,7 +205,7 @@ class TestBlockForward:
         params = list(store.params())
 
         def f(*tensors, tape=None):
-            out = block_forward(cfg, store, x, tape=tape)
+            out = Block(cfg, "block0").forward(store, x, tape)
             return engine.loss(target, out.forecast, "mse", tape)
 
         report = grad_check(f, params)

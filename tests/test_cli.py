@@ -145,6 +145,10 @@ MALFORMED_CONFIGS = {
     "text-pooling": ("base_ratio = 0.5", "base_ratio = 0.5\npooling_schedule = 2,x"),
     "unknown-boolean": ("base_ratio = 0.5", "base_ratio = 0.5\nshared_weights = maybe"),
     "text-member-seeds": ("n_members = 2", "n_members = 2\nmember_seeds = 1,b"),
+    "zero-lr": ("iterations = 60", "iterations = 60\nlr = 0"),
+    "negative-lr": ("iterations = 60", "iterations = 60\nlr = -0.01"),
+    "nan-l1-lambda": ("iterations = 60", "iterations = 60\nl1_lambda = nan"),
+    "negative-member-seed": ("n_members = 2", "n_members = 2\nmember_seeds = -1,2"),
     "text-seed": ("[model]", "[run]\nseed = x\n\n[model]"),
     "text-jobs": ("[model]", "[run]\njobs = x\n\n[model]"),
     "zero-jobs": ("[model]", "[run]\njobs = 0\n\n[model]"),
@@ -405,6 +409,24 @@ class TestForecastAndDecompose:
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 1
         assert "s0.b0.mlp0.weight" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_member_is_named(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        mlp = tmp_path / "mlp.ini"
+        mlp.write_text(open(config).read().replace("kind = dmidas", "kind = mlp"))
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", str(mlp), "--out", str(run)]) == 0
+        ckpt = run / "checkpoints" / "member_1.npz"
+        with np.load(ckpt) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "p:out.bias"}
+        with open(ckpt, "wb") as handle:  # the metadata still names the array
+            np.savez(handle, **arrays)
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", data, "--config", str(mlp), "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"'{ckpt}': checkpoint parameter 'out.bias' has no array" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["text", "truncated"])

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from dmidas.data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid,
-                         SyntheticSpec, TimeSeriesDataset, export_results,
-                         gaussian_noise, generate_synthetic, load_csv,
-                         load_decomposition_csv, multifreq_v1, save_dataset_csv)
-from dmidas.errors import ConfigError, DataError, NumericsError
+                         SyntheticSpec, TimeSeriesDataset, gaussian_noise,
+                         generate_synthetic, load_csv, load_decomposition_csv,
+                         multifreq_v1, save_dataset_csv, write_decomposition_csv,
+                         write_metrics_json)
+from dmidas.errors import DataError, NumericsError
 from dmidas.model import ForecastBundle
 
 
@@ -212,14 +213,14 @@ class TestExport:
 
     def test_decomposition_csv_shape(self, tmp_path):
         path = tmp_path / "dec.csv"
-        export_results(self.bundle(), path, "csv")
+        write_decomposition_csv(self.bundle(), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,forecast,component_1,component_2"
         assert len(lines) == 5
 
     def test_decomposition_roundtrip_additivity(self, tmp_path):
         path = tmp_path / "dec.csv"
-        export_results(self.bundle(), path, "csv")
+        write_decomposition_csv(self.bundle(), path)
         forecast, comps = load_decomposition_csv(path)
         assert np.max(np.abs(np.sum(comps, axis=0) - forecast)) < 1e-9
 
@@ -231,7 +232,7 @@ class TestExport:
             MetricEntry("ds", 4, "m2", 1.5, 2.5),
         ])
         path = tmp_path / "metrics.json"
-        export_results(report, path, "json")
+        write_metrics_json(report, path)
         payload = json.loads(path.read_text())
         leaves = payload["ds"]["4"]
         assert set(leaves) == {"m1", "m2"}
@@ -243,13 +244,9 @@ class TestExport:
         report = MetricsReport(entries=[MetricEntry("ds", 4, "m1", float("nan"), 2.0)])
         path = tmp_path / "metrics.json"
         with pytest.raises(NumericsError, match="metrics.json"):
-            export_results(report, path, "json")
+            write_metrics_json(report, path)
         assert not path.exists()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_results(self.bundle(), tmp_path / "x", "xml")
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         with pytest.raises(DataError):
-            export_results(self.bundle(), tmp_path / "no" / "dir" / "x.csv", "csv")
+            write_decomposition_csv(self.bundle(), tmp_path / "no" / "dir" / "x.csv")

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = ["01_autodiff_and_gradients.py", "02_interpolation_and_scaling.py",
-              "03_forecast_decomposition.py"]
+              "03_forecast_decomposition.py", "04_benchmark_harness.py"]
 
 
 @pytest.mark.parametrize("demo", FAST_DEMOS)
@@ -22,3 +22,5 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
     if demo.startswith("03"):
         assert (tmp_path / "decomposition.csv").is_file()
+    if demo.startswith("04"):
+        assert (tmp_path / "metrics.json").is_file()

@@ -12,7 +12,7 @@ from dmidas.errors import ConfigError, DataError, ShapeError
 from dmidas.metrics import (BenchmarkProtocol, MetricEntry, MetricsReport, ModelSpec,
                             mae, relative_improvement, render_table, rmse,
                             run_benchmark, score_windows, seasonal_naive_forecast)
-from dmidas.training import EnsembleConfig, TrainConfig
+from dmidas.training import EnsembleConfig, TrainConfig, split_tail
 
 vectors = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=32)
 
@@ -136,6 +136,10 @@ class TestModelSpecs:
         with pytest.raises(ConfigError):
             model_config_for(ModelSpec("x", "transformer"), 8, 4)
 
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ConfigError, match="model 'd' has unknown param 'block_per_stack'"):
+            ModelSpec("d", "dmidas", {"block_per_stack": 1})
+
     def test_two_by_two_table_shape(self):
         entries = [MetricEntry("ds", h, m, 1.0 + i, 2.0 + i)
                    for i, (h, m) in enumerate((h, m) for h in (8, 16)
@@ -186,14 +190,14 @@ class TestRunBenchmark:
 
     def test_aggregation_matches_bruteforce(self):
         specs = [ModelSpec("naive", "seasonal-naive", {"period": 12})]
-        report = run_benchmark(self.data(), specs, [6], self.protocol(),
-                               keep_forecasts=True)
+        report = run_benchmark(self.data(), specs, [6], self.protocol())
         entry = report.entries[0]
+        split = split_tail(self.data(), 24, 24)
         by_series = {}
-        for sid, m, r in entry.window_records:
-            by_series.setdefault(sid, []).append((m, r))
-        manual_mae = float(np.mean([np.mean([m for m, _ in recs])
-                                    for recs in by_series.values()]))
+        for w in split.test_windows(18, 6):  # input size defaults to 3 x horizon
+            fc = seasonal_naive_forecast(w.input, 6, 12)
+            by_series.setdefault(w.series_id, []).append(mae(w.target, fc))
+        manual_mae = float(np.mean([np.mean(maes) for maes in by_series.values()]))
         assert entry.mae == pytest.approx(manual_mae, abs=1e-15)
 
     def test_no_test_windows_is_data_error(self):
