@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .engine import GradientTape, interp_upsample, project
 from .errors import ConfigError
-from .params import ParameterStore, uniform_fan_in
+from .params import ParameterStore, register_affine
 
 BASIS_KINDS = ("generic", "polynomial", "harmonic", "midas")
 
@@ -106,7 +106,8 @@ class BlockConfig:
 
 @dataclass
 class BlockOutput:
-    """What a block emits for one input: its backcast and its forecast."""
+    """What a block emits for one input: its backcast (None when not asked
+    for) and its forecast."""
 
     backcast: object
     forecast: object
@@ -189,13 +190,14 @@ class Block:
         sizes.append((f"{self.prefix}.theta_b", fan_in, kb))
         return sizes
 
-    def register(self, store: ParameterStore, rng: np.random.Generator) -> None:
-        for name, fan_in, fan_out in self.layer_sizes():
-            store.add(f"{name}.weight", uniform_fan_in(rng, fan_in, (fan_in, fan_out)),
-                      kind="weight")
-            store.add(f"{name}.bias", uniform_fan_in(rng, fan_in, (fan_out,)), kind="bias")
+    def register(self, store: ParameterStore, init) -> None:
+        """Add this block's parameters; ``init`` as in ``params.register_affine``."""
+        register_affine(store, self.layer_sizes(), init)
 
-    def forward(self, store: ParameterStore, y_in, tape: GradientTape | None = None) -> BlockOutput:
+    def forward(self, store: ParameterStore, y_in, tape: GradientTape | None = None,
+                backcast: bool = True) -> BlockOutput:
+        """The block's forecast and, if ``backcast`` is set, its backcast; without
+        it the backcast head and basis are not computed."""
         cfg = self.config
         h = y_in
         if cfg.basis == "midas":
@@ -206,20 +208,17 @@ class Block:
             h = engine.relu(engine.affine(h, store[f"{name}.weight"], store[f"{name}.bias"], tape), tape)
         theta_f = engine.affine(h, store[f"{self.prefix}.theta_f.weight"],
                                 store[f"{self.prefix}.theta_f.bias"], tape)
-        theta_b = engine.affine(h, store[f"{self.prefix}.theta_b.weight"],
-                                store[f"{self.prefix}.theta_b.bias"], tape)
+        theta_b = (engine.affine(h, store[f"{self.prefix}.theta_b.weight"],
+                                 store[f"{self.prefix}.theta_b.bias"], tape)
+                   if backcast else None)
         if cfg.basis == "generic":
-            forecast, backcast = generic_basis(theta_f, theta_b)
-        elif cfg.basis == "polynomial":
-            forecast = polynomial_basis(theta_f, cfg.horizon, tape)
-            backcast = polynomial_basis(theta_b, cfg.input_size, tape)
-        elif cfg.basis == "harmonic":
-            forecast = harmonic_basis(theta_f, cfg.horizon, tape)
-            backcast = harmonic_basis(theta_b, cfg.input_size, tape)
-        else:
-            forecast, backcast = midas_basis(theta_f, theta_b, cfg.horizon,
-                                             cfg.input_size, tape)
-        return BlockOutput(backcast=backcast, forecast=forecast)
+            forecast, back = generic_basis(theta_f, theta_b)
+            return BlockOutput(backcast=back, forecast=forecast)
+        basis = {"polynomial": polynomial_basis, "harmonic": harmonic_basis,
+                 "midas": interp_upsample}[cfg.basis]
+        forecast = basis(theta_f, cfg.horizon, tape)
+        return BlockOutput(backcast=basis(theta_b, cfg.input_size, tape) if backcast else None,
+                           forecast=forecast)
 
     def label(self) -> str:
         if self.config.basis == "midas":

@@ -65,14 +65,16 @@ class TapeEntry:
     ``backward(g)`` receives the adjoint of the output and returns one adjoint
     per input (``None`` for constants). ``kink_margin`` is the distance from
     the nearest non-differentiable point seen during the forward pass (inf for
-    smooth ops); tests use it to reject sample points too close to a kink.
+    smooth ops), or a zero-argument callable that computes it, so that only
+    ``GradientTape.min_kink_margin`` pays for it; tests use it to reject
+    sample points too close to a kink.
     """
 
     output: Tensor
     inputs: tuple
     backward: Callable[[Array], Sequence[Array | None]]
     name: str = ""
-    kink_margin: float = math.inf
+    kink_margin: float | Callable[[], float] = math.inf
 
 
 class GradientTape:
@@ -85,12 +87,13 @@ class GradientTape:
         return len(self.entries)
 
     def record(self, output: Tensor, inputs: tuple, backward, name: str = "",
-               kink_margin: float = math.inf) -> None:
+               kink_margin: float | Callable[[], float] = math.inf) -> None:
         self.entries.append(TapeEntry(output, inputs, backward, name, kink_margin))
 
     def min_kink_margin(self) -> float:
         """Smallest distance to a kink observed on this tape (inf if all smooth)."""
-        return min((e.kink_margin for e in self.entries), default=math.inf)
+        return min((e.kink_margin() if callable(e.kink_margin) else e.kink_margin
+                    for e in self.entries), default=math.inf)
 
     def backward(self, root: Tensor, seed: Array | None = None) -> None:
         """Accumulate adjoints of ``root`` into every participating tensor's grad.
@@ -127,7 +130,7 @@ def value_of(x) -> Array:
 
 
 def _emit(value, inputs: tuple, backward, tape: GradientTape | None, name: str,
-          kink_margin: float = math.inf):
+          kink_margin: float | Callable[[], float] = math.inf):
     """Wrap an op result: Tensor (and tape entry) if any input is traced."""
     if not any(isinstance(t, Tensor) for t in inputs):
         out = np.asarray(value, dtype=np.float64)
@@ -153,7 +156,9 @@ def affine(x, w, b, tape: GradientTape | None = None):
         raise ShapeError(f"affine shape mismatch: x{xv.shape} w{wv.shape} b{bv.shape}")
     # A vector is a one-row batch: the same BLAS calls serve both ranks.
     x2 = xv.reshape(-1, wv.shape[0])
-    out = (x2 @ wv + bv).reshape(xv.shape[:-1] + bv.shape)
+    out = x2 @ wv
+    out += bv
+    out = out.reshape(xv.shape[:-1] + bv.shape)
     need_x, need_w, need_b = (isinstance(t, Tensor) for t in (x, w, b))
 
     def backward(g):
@@ -170,7 +175,9 @@ def relu(x, tape: GradientTape | None = None):
     """Elementwise max(0, x); the subgradient at 0 is 0."""
     xv = value_of(x)
     mask = xv > 0.0
-    margin = float(np.min(np.abs(xv))) if xv.size else math.inf
+
+    def margin():
+        return float(np.min(np.abs(xv))) if xv.size else math.inf
 
     def backward(g):
         return (g * mask,)
@@ -212,8 +219,9 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
     elif mode == "max":
         out = windows.max(axis=-1)
         if kernel >= 2:
-            part = np.partition(windows, kernel - 2, axis=-1)
-            margin = float(np.min(part[..., -1] - part[..., -2]))
+            def margin():
+                part = np.partition(windows, kernel - 2, axis=-1)
+                return float(np.min(part[..., -1] - part[..., -2]))
     else:
         # A contiguous copy, like the gather it replaces: BLAS rounds a
         # strided operand differently in the next affine.
@@ -327,7 +335,9 @@ def loss(y, yhat, kind: str = "mae", tape: GradientTape | None = None):
     if kind == "mae":
         out = np.abs(diff).mean()
         factor = np.sign(diff) / n
-        margin = float(np.min(np.abs(diff)))
+
+        def margin():
+            return float(np.min(np.abs(diff)))
     else:
         out = np.mean(diff * diff)
         factor = 2.0 * diff / n

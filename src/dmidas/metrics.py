@@ -246,9 +246,15 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
                   jobs: int = 1) -> MetricsReport:
     """Train and score every (model, horizon) cell; failures flag the cell only.
 
-    Test windows roll over the holdout region with stride = horizon, so their
-    targets never overlap; they are scored by ``score_windows``.
+    The split and the horizons, which every cell shares, are checked first:
+    an error in them raises. Test windows roll over the holdout region with
+    stride = horizon, so their targets never overlap; they are scored by
+    ``score_windows``.
     """
+    split = split_tail(dataset, protocol.val_len, protocol.test_len)
+    for h in horizons:
+        if h < 1:
+            raise ConfigError(f"horizons must be >= 1, got {h}")
     cells = [(spec, h) for spec in model_specs for h in horizons]
 
     def run_cell(args) -> MetricEntry:
@@ -256,7 +262,6 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
         cell_seed = child_seed(seed, index)
         try:
             input_size = int(spec.params.get("input_size", 3 * horizon))
-            split = split_tail(dataset, protocol.val_len, protocol.test_len)
             if spec.kind == "seasonal-naive":
                 period = int(spec.params.get("period", 1))
                 windows = split.test_windows(input_size, horizon)

@@ -17,7 +17,7 @@ from . import engine
 from .blocks import Block, BlockConfig, PoolSpec
 from .engine import GradientTape
 from .errors import ConfigError, DataError
-from .params import ParameterStore, uniform_fan_in
+from .params import ParameterStore, fan_in_init, register_affine
 
 CHECKPOINT_VERSION = 1
 
@@ -167,15 +167,18 @@ class StackedForecaster:
         """Forward on a (N, L) batch or an (L,) vector.
 
         Returns (forecast, components, residual_trace); the trailing lists are
-        empty unless ``collect`` is set.
+        empty unless ``collect`` is set. The last block's backcast and residual
+        feed only that trace, so they are computed only with ``collect``.
         """
         residual = x
         forecast = None
         components: list = []
         residuals: list = []
-        for block in self.blocks:
-            out = block.forward(self.params, residual, tape)
-            residual = engine.sub(residual, out.backcast, tape)
+        last = len(self.blocks) - 1
+        for k, block in enumerate(self.blocks):
+            out = block.forward(self.params, residual, tape, backcast=collect or k < last)
+            if out.backcast is not None:
+                residual = engine.sub(residual, out.backcast, tape)
             forecast = out.forecast if forecast is None else engine.add(forecast, out.forecast, tape)
             if collect:
                 components.append(out.forecast)
@@ -203,15 +206,7 @@ class StackedForecaster:
 
 def build_model(config: ModelConfig, seed: int) -> StackedForecaster:
     """Allocate and initialize all blocks; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    blocks = []
-    for prefix, bconf, first in _resolve_blocks(config):
-        block = Block(bconf, prefix)
-        if first:
-            block.register(store, rng)
-        blocks.append(block)
-    return StackedForecaster(config, blocks, store)
+    return build_any(config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +255,33 @@ class MlpForecaster:
 
 def build_mlp_baseline(input_size: int, horizon: int, widths, seed: int) -> MlpForecaster:
     """A parsimonious fully-connected multi-horizon baseline."""
-    config = MlpConfig(input_size, horizon, tuple(widths))
-    rng = np.random.default_rng(seed)
+    return build_any(MlpConfig(input_size, horizon, tuple(widths)), seed)
+
+
+def _assemble(config, init):
+    """The model of ``config``, its parameters valued by ``init`` (see
+    ``params.register_affine``) in registration order."""
     store = ParameterStore()
-    fan_in = config.input_size
-    for i, width in enumerate(config.widths):
-        store.add(f"mlp{i}.weight", uniform_fan_in(rng, fan_in, (fan_in, width)), kind="weight")
-        store.add(f"mlp{i}.bias", uniform_fan_in(rng, fan_in, (width,)), kind="bias")
-        fan_in = width
-    store.add("out.weight", uniform_fan_in(rng, fan_in, (fan_in, config.horizon)), kind="weight")
-    store.add("out.bias", uniform_fan_in(rng, fan_in, (config.horizon,)), kind="bias")
-    return MlpForecaster(config, store)
+    if isinstance(config, MlpConfig):
+        fan_ins = (config.input_size,) + config.widths
+        outs = [f"mlp{i}" for i in range(len(config.widths))] + ["out"]
+        register_affine(store, zip(outs, fan_ins, config.widths + (config.horizon,)), init)
+        return MlpForecaster(config, store)
+    if not isinstance(config, ModelConfig):
+        raise ConfigError(f"cannot build a model from {type(config).__name__}")
+    blocks = []
+    for prefix, bconf, first in _resolve_blocks(config):
+        block = Block(bconf, prefix)
+        if first:
+            block.register(store, init)
+        blocks.append(block)
+    return StackedForecaster(config, blocks, store)
 
 
 def build_any(config, seed: int):
-    """Dispatch on config type; the uniform entry point for ensembles."""
-    if isinstance(config, ModelConfig):
-        return build_model(config, seed)
-    if isinstance(config, MlpConfig):
-        return build_mlp_baseline(config.input_size, config.horizon, config.widths, seed)
-    raise ConfigError(f"cannot build a model from {type(config).__name__}")
+    """Dispatch on config type; the uniform entry point for ensembles.
+    Deterministic for a fixed seed."""
+    return _assemble(config, fan_in_init(np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +427,15 @@ def load_checkpoint(path):
         version = meta.get("version")
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
-        model = build_any(model_config_from_dict(meta["config"]), seed=0)
+        config = model_config_from_dict(meta["config"])
         shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
+
+        def stored(name, fan_in, shape):
+            # a stand-in only where the checks below reject the checkpoint
+            arr = arrays.get("p:" + name)
+            return arr if arr is not None and arr.shape == shape else np.zeros(shape)
+
+        model = _assemble(config, stored)
     except ConfigError as exc:
         raise ConfigError(f"'{path}': {exc}") from None
     except KeyError as exc:
@@ -445,5 +454,4 @@ def load_checkpoint(path):
         if list(arr.shape) != shape or arr.shape != model.params[name].value.shape:
             raise ConfigError(f"'{path}': checkpoint parameter '{name}' has shape {arr.shape}, "
                               f"expected {model.params[name].value.shape}")
-        model.params[name].value[...] = arr
     return model

@@ -88,6 +88,22 @@ def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def fan_in_init(rng: np.random.Generator):
+    """An initializer for ``register_affine`` that draws ``uniform_fan_in`` values."""
+    return lambda name, fan_in, shape: uniform_fan_in(rng, fan_in, shape)
+
+
+def register_affine(store: ParameterStore, layers, init) -> None:
+    """Add a weight and a bias per (name, fan_in, fan_out) layer, in order.
+
+    ``init(param_name, fan_in, shape)`` gives each parameter's initial value.
+    """
+    for name, fan_in, fan_out in layers:
+        store.add(f"{name}.weight", init(f"{name}.weight", fan_in, (fan_in, fan_out)),
+                  kind="weight")
+        store.add(f"{name}.bias", init(f"{name}.bias", fan_in, (fan_out,)), kind="bias")
+
+
 def l1_penalty(store: ParameterStore, lam: float, tape: GradientTape | None = None):
     """lam times the summed absolute value of all weight matrices (biases excluded)."""
     if lam < 0:
@@ -96,7 +112,9 @@ def l1_penalty(store: ParameterStore, lam: float, tape: GradientTape | None = No
     if not weights:
         return np.float64(0.0)
     total = lam * sum(float(np.abs(p.value).sum()) for p in weights)
-    margin = min(float(np.min(np.abs(p.value))) for p in weights)
+
+    def margin():
+        return min(float(np.min(np.abs(p.value))) for p in weights)
 
     def backward(g):
         return [g * lam * np.sign(p.value) for p in weights]
@@ -122,23 +140,36 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
     """One bias-corrected Adam update in place; missing grads count as zero.
 
-    Every grad is checked before anything changes, so a non-finite grad
-    leaves the params and ``state`` as they were.
+    Kingma & Ba's efficient form (arXiv:1412.6980, section 2): the bias
+    corrections fold into the step size lr * sqrt(1 - beta2^t) / (1 - beta1^t)
+    and into eps * sqrt(1 - beta2^t), so every pass runs in place through one
+    scratch array. Every grad is checked before anything changes, so a
+    non-finite grad leaves the params and ``state`` as they were.
     """
     for name, p in store.items():
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    root_bc2 = math.sqrt(1.0 - beta2 ** t)
+    step_size = lr * root_bc2 / (1.0 - beta1 ** t)
+    eps_hat = eps * root_bc2
+    scratch = np.empty(max((p.value.size for p in store.params()), default=0))
     for name, p in store.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        s = scratch[:p.value.size].reshape(p.value.shape)
         m = state.m.setdefault(name, np.zeros_like(p.value))
         v = state.v.setdefault(name, np.zeros_like(p.value))
         m *= beta1
-        m += (1.0 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if p.grad is not None:
+            np.multiply(p.grad, 1.0 - beta1, out=s)
+            m += s
+            np.multiply(p.grad, p.grad, out=s)
+            s *= 1.0 - beta2
+            v += s
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= step_size
+        p.value -= s
     return state

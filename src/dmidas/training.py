@@ -430,6 +430,30 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed arrays on glibc's heap instead of returning them to the kernel.
+
+    By default glibc maps large blocks separately and unmaps them on free,
+    and trims the heap top once a little of it is free (both thresholds start
+    at 128 KiB), so every training step and batch forecast faults its arrays'
+    pages in again. Blocks up to 32 MiB (glibc's 64-bit maximum) now come
+    from the heap, which is trimmed only above 64 MiB free. Both are needed:
+    setting only the trim threshold turns off glibc's dynamic mmap threshold,
+    and then more blocks are mapped. Process-wide; does nothing where libc
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
+
+
 def child_seed(root_seed: int, index: int) -> int:
     """The seed of task ``index`` under ``root_seed``: one independent stream per
     benchmark cell or search trial, whatever order or thread runs it."""

@@ -18,7 +18,7 @@ from dmidas.metrics import mae as mae_fn
 from dmidas.metrics import rmse as rmse_fn
 from dmidas.metrics import seasonal_naive_forecast
 from dmidas.model import ModelConfig, StackConfig, build_model, count_parameters, generic_twin
-from dmidas.params import ParameterStore, l1_penalty
+from dmidas.params import ParameterStore, fan_in_init, l1_penalty
 from dmidas.training import (EnsembleConfig, TrainConfig, denormalize_forecast,
                              ensemble_forecast, ensemble_forecast_batch,
                              median_abs_scales, normalize, split_tail, train_ensemble)
@@ -122,7 +122,7 @@ def test_criterion_1_gradient_fidelity():
     def build_block_loss(rng):
         store = ParameterStore()
         block = Block(config, "b")
-        block.register(store, rng)
+        block.register(store, fan_in_init(rng))
         x = rng.normal(size=16)
         target = rng.normal(size=8)
         params = list(store.params())

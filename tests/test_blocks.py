@@ -11,12 +11,12 @@ from dmidas.blocks import (Block, BlockConfig, PoolSpec, generic_basis,
                            polynomial_basis)
 from dmidas.engine import GradientTape, Tensor, grad_check
 from dmidas.errors import ConfigError
-from dmidas.params import ParameterStore
+from dmidas.params import ParameterStore, fan_in_init
 
 
 def build_block(config, prefix="block0", seed=0):
     store = ParameterStore()
-    Block(config, prefix).register(store, np.random.default_rng(seed))
+    Block(config, prefix).register(store, fan_in_init(np.random.default_rng(seed)))
     return store
 
 

@@ -355,6 +355,32 @@ class TestEvaluate:
         error = payload["data"]["8"]["seasonal-naive"]["error"]
         assert "no test windows" in error and "seasonal-naive" in error
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("val_len", "-5", "val_len and test_len must be >= 0"),
+        ("horizons", "0", "horizons must be >= 1, got 0"),
+    ])
+    def test_error_every_cell_shares_exits_one(self, workspace, capsys, key, value, message):
+        tmp_path, config, data = workspace
+        bad = tmp_path / "bad.ini"
+        text = open(config).read().replace("models = dmidas,seasonal-naive",
+                                           "models = seasonal-naive")
+        bad.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                                 for line in text.splitlines()))
+        assert main(["evaluate", data, "--config", str(bad), "--out", str(tmp_path / "e")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.json").exists()
+
+    def test_horizon_the_test_region_cannot_hold_is_an_error_cell(self, workspace):
+        tmp_path, config, data = workspace
+        wide = tmp_path / "wide.ini"
+        wide.write_text(open(config).read().replace("horizons = 8", "horizons = 8,64")
+                        .replace("models = dmidas,seasonal-naive", "models = seasonal-naive"))
+        out = tmp_path / "e"
+        assert main(["evaluate", data, "--config", str(wide), "--out", str(out)]) == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        assert "mae" in payload["data"]["8"]["seasonal-naive"]
+        assert "no test windows" in payload["data"]["64"]["seasonal-naive"]["error"]
+
     def test_checkpoints_with_no_test_windows_exit_two(self, workspace, capsys):
         tmp_path, config, data = workspace
         run = tmp_path / "run"

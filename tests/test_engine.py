@@ -10,6 +10,7 @@ from dmidas.engine import (GradientTape, Tensor, affine, grad_check,
                            interp_upsample, interpolation_matrix, loss, pool1d,
                            project, relu)
 from dmidas.errors import ConfigError, NumericsError, ShapeError
+from dmidas.params import ParameterStore, l1_penalty
 
 
 def scalar_fn(op, *extra, **kw):
@@ -423,6 +424,29 @@ class TestTapeMechanics:
         tape = GradientTape()
         relu(x, tape)
         assert tape.min_kink_margin() == pytest.approx(0.01)
+
+    def test_kink_margins_are_computed_only_when_asked(self):
+        rng = np.random.default_rng(4)
+        xv, yv, wv = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(4, 3))
+        store = ParameterStore()
+        store.add("w", wv)
+        store.add("b", np.zeros(3), kind="bias")
+        windows = xv.reshape(3, 4, 2)
+        expected = {
+            "relu": np.min(np.abs(xv)),
+            "loss[mae]": np.min(np.abs(xv - yv)),
+            "pool1d[max]": np.min(np.abs(windows[..., 0] - windows[..., 1])),
+            "l1_penalty": np.min(np.abs(wv)),
+        }
+        tape = GradientTape()
+        relu(Tensor(xv), tape)
+        loss(yv, Tensor(xv), "mae", tape)
+        pool1d(Tensor(xv), 2, mode="max", tape=tape)
+        l1_penalty(store, 0.5, tape)
+        for entry in tape.entries:
+            assert callable(entry.kink_margin)
+            assert entry.kink_margin() == expected[entry.name]
+        assert tape.min_kink_margin() == min(expected.values())
 
 
 class TestGradCheck:

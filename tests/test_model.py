@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from dmidas import params
 from dmidas.blocks import BlockConfig
+from dmidas.engine import GradientTape
 from dmidas.errors import ConfigError, DataError
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
                           build_mlp_baseline, build_model, count_parameters,
@@ -186,6 +188,21 @@ class TestForward:
             final = bundle.residual_trace[-1]
             assert np.max(np.abs(final - (y - np.sum(backcasts, axis=0)))) < 1e-9
 
+    @pytest.mark.parametrize("basis, skipped", [("midas", 3), ("generic", 2)])
+    def test_last_backcast_only_with_collect(self, basis, skipped):
+        # midas skips the backcast head, its interpolation and the last sub;
+        # a generic block has no interpolation to skip
+        template = BlockConfig(basis=basis, input_size=24, horizon=8, mlp_widths=(8, 8))
+        cfg = ModelConfig(stacks=(StackConfig(3, template),), input_size=24, horizon=8,
+                          base_ratio=0.5)
+        model = build_model(cfg, 9)
+        x = np.random.default_rng(10).normal(size=(5, 24))
+        tapes = {collect: GradientTape() for collect in (False, True)}
+        forecasts = {collect: model.forward_batch(x, tape, collect=collect)[0].value
+                     for collect, tape in tapes.items()}
+        np.testing.assert_array_equal(forecasts[False], forecasts[True])
+        assert len(tapes[True]) - len(tapes[False]) == skipped
+
     def test_wrong_input_length_rejected(self):
         cfg, model = midas_model()
         with pytest.raises(ConfigError):
@@ -359,6 +376,23 @@ class TestCheckpoints:
         y = np.random.default_rng(22).normal(size=24)
         np.testing.assert_array_equal(model.forward(y).forecast,
                                       restored.forward(y).forecast)
+
+    @pytest.mark.parametrize("build", [lambda: midas_model(seed=23)[1],
+                                       lambda: build_mlp_baseline(6, 3, (4,), seed=2)])
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch, build):
+        model = build()
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random values")
+
+        monkeypatch.setattr(params, "uniform_fan_in", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        restored = load_checkpoint(path)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(restored.params[name].value, p.value)
+            assert restored.params[name].kind == p.kind
 
     def test_roundtrip_mlp(self, tmp_path):
         model = build_mlp_baseline(6, 3, (4,), seed=2)

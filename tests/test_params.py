@@ -164,3 +164,33 @@ class TestAdam:
         state = OptimizerState.for_store(store)
         adam_step(store, state, lr=0.5)
         np.testing.assert_array_equal(store["w"].value, [2.0])
+
+    def test_matches_the_textbook_bias_corrected_update(self):
+        rng = np.random.default_rng(11)
+        shapes = {"none": (3,), "zero": (2, 2), "w": (5, 4), "b": (4,)}
+        store = make_store({n: (rng.normal(size=s), "weight") for n, s in shapes.items()})
+        state = OptimizerState.for_store(store)
+        ref = {n: (p.value.copy(), np.zeros(p.shape), np.zeros(p.shape))
+               for n, p in store.items()}
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for t in range(1, 51):
+            grads = {"none": None, "zero": np.zeros(shapes["zero"]),
+                     "w": rng.normal(size=shapes["w"]), "b": rng.normal(size=shapes["b"])}
+            for name, g in grads.items():
+                store[name].grad = g
+            adam_step(store, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            for name, (p, m, v) in ref.items():
+                g = np.zeros_like(p) if grads[name] is None else grads[name]
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * g * g
+                m_hat = m / (1.0 - beta1 ** t)
+                v_hat = v / (1.0 - beta2 ** t)
+                ref[name] = (p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v)
+        assert state.step == 50
+        for name, (p, m, v) in ref.items():
+            got = (store[name].value, state.m[name], state.v[name])
+            for g, want in zip(got, (p, m, v)):
+                np.testing.assert_allclose(g, want, rtol=0,
+                                           atol=1e-12 * float(np.max(np.abs(want))))
+        np.testing.assert_array_equal(state.m["none"], 0.0)
+        np.testing.assert_array_equal(store["zero"].value, ref["zero"][0])
