@@ -172,17 +172,23 @@ def affine(x, w, b, tape: GradientTape | None = None):
 
 
 def relu(x, tape: GradientTape | None = None):
-    """Elementwise max(0, x); the subgradient at 0 is 0."""
+    """Elementwise max(0, x); the subgradient at 0 is 0.
+
+    ``maximum`` runs branch-free and lets a NaN through to ``_emit``, which
+    raises. It may return either zero for ``-0.0``; adding ``0.0`` makes that
+    ``+0.0``, so the output has the bits of ``where(x > 0, x, 0.0)``.
+    """
     xv = value_of(x)
-    mask = xv > 0.0
+    out = np.maximum(xv, 0.0)
+    out += 0.0
 
     def margin():
         return float(np.min(np.abs(xv))) if xv.size else math.inf
 
     def backward(g):
-        return (g * mask,)
+        return (g * (out > 0.0),)
 
-    return _emit(np.where(mask, xv, 0.0), (x,), backward, tape, "relu", kink_margin=margin)
+    return _emit(out, (x,), backward, tape, "relu", kink_margin=margin)
 
 
 @lru_cache(maxsize=None)
@@ -212,30 +218,36 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
     length = xv.shape[-1]
     if kernel > length:
         raise ConfigError(f"pooling kernel {kernel} exceeds input length {length}")
-    windows = xv[..., _pool_indices(length, kernel, stride)]
+    # Offset j of every window is the strided slice j, j+stride, ...; the
+    # forward reduces those slices in order and the backward scatters to them.
+    span = stride * ((length - kernel) // stride) + 1
+    taps = [xv[..., j:j + span:stride] for j in range(kernel)]
+    # A contiguous copy: BLAS rounds a strided operand differently in the next affine.
+    out = taps[0].copy()
     margin = math.inf
     if mode == "avg":
-        out = windows.mean(axis=-1)
+        for tap in taps[1:]:
+            out += tap
+        out /= kernel
     elif mode == "max":
-        out = windows.max(axis=-1)
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+
+        def windows():
+            return xv[..., _pool_indices(length, kernel, stride)]
+
         if kernel >= 2:
             def margin():
-                part = np.partition(windows, kernel - 2, axis=-1)
+                part = np.partition(windows(), kernel - 2, axis=-1)
                 return float(np.min(part[..., -1] - part[..., -2]))
-    else:
-        # A contiguous copy, like the gather it replaces: BLAS rounds a
-        # strided operand differently in the next affine.
-        out = windows[..., 0].copy()
 
     def backward(g):
-        # Offset j of every window lands on the strided slice j, j+stride, ...
         gx = np.zeros_like(xv)
-        span = stride * (out.shape[-1] - 1) + 1
-        argmax = windows.argmax(axis=-1) if mode == "max" else None
+        argmax = windows().argmax(axis=-1) if mode == "max" else None
         share = g / kernel if mode == "avg" else g
         for j in range(1 if mode == "stride" else kernel):
             if mode == "max":
-                share = np.where(argmax == j, g, 0.0)
+                share = g * (argmax == j)
             gx[..., j:j + span:stride] += share
         return (gx,)
 
@@ -304,8 +316,9 @@ def project(theta, basis: Array, tape: GradientTape | None = None):
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
 
-    A single window (1-D ``theta``) gathers its two taps per step; a batch
-    multiplies by the dense matrix, where BLAS is faster than the gather.
+    A single window (1-D ``theta``) gathers its two taps per step. A batch
+    multiplies by the dense matrix: the gather can be faster there too, but
+    BLAS keeps the batch's bits and its ``g @ M`` backward.
     """
     tv = value_of(theta)
     knots = tv.shape[-1]

@@ -109,6 +109,12 @@ def pool_backward_reference(x, g, kernel, stride, mode):
     return gx
 
 
+def assert_same_bits(actual, expected):
+    """Equal shapes and identical float64 bit patterns (so -0.0 != +0.0)."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
 class TestRelu:
     def test_sign_cases(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
@@ -127,6 +133,18 @@ class TestRelu:
         x = Tensor([2.0, -2.0, 0.7, -0.3])
         report = grad_check(scalar_fn(relu), [x])
         assert report.passed, str(report)
+
+    def test_nan_constant_raises(self):
+        with pytest.raises(NumericsError, match="relu"):
+            relu(np.array([1.0, np.nan, -1.0]))
+
+    def test_bits_match_where_form(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edge = np.array([0.0, -0.0, tiny, -tiny, 1e308, -1e308, 1.0, -1.0])
+        batch = np.random.default_rng(5).normal(size=(865, 512))
+        for x in (Tensor(edge), np.append(edge, -np.inf), Tensor(batch)):
+            xv = engine.value_of(x)
+            assert_same_bits(engine.value_of(relu(x)), np.where(xv > 0, xv, 0.0))
 
 
 class TestPool1d:
@@ -166,11 +184,16 @@ class TestPool1d:
 
     @pytest.mark.parametrize("mode", ["avg", "max", "stride"])
     def test_batched_matches_per_row(self, mode):
+        # every rank rounds alike: a vector and a one-row batch sum a window
+        # in the same order as a row of a larger batch
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 10))
-        batched = pool1d(x, 3, 2, mode)
-        rows = np.stack([engine.value_of(pool1d(r, 3, 2, mode)) for r in x])
-        np.testing.assert_array_equal(batched, rows)
+        for shape, kernel, stride in [((4, 10), 3, 2), ((4, 64), 3, 2), ((4, 64), 8, 8),
+                                      ((4, 64), 16, 16)]:
+            x = rng.normal(size=shape)
+            batched = pool1d(x, kernel, stride, mode)
+            for i, r in enumerate(x):
+                assert_same_bits(pool1d(r, kernel, stride, mode), batched[i])
+                assert_same_bits(pool1d(x[i:i + 1], kernel, stride, mode), batched[i:i + 1])
 
     @pytest.mark.parametrize("mode", ["avg", "max", "stride"])
     def test_batched_backward_matches_per_row(self, mode):
@@ -192,13 +215,17 @@ class TestPool1d:
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (2, 2), (4, 4), (8, 8), (3, 2)])
     def test_backward_matches_scatter_reference_bit_for_bit(self, mode, shape, kernel, stride):
         rng = np.random.default_rng(kernel * 10 + stride)
-        x = Tensor(rng.normal(size=shape))
-        tape = GradientTape()
-        out = pool1d(x, kernel, stride, mode, tape)
-        g = rng.normal(size=out.shape)
-        tape.backward(out, seed=g)
-        expected = pool_backward_reference(x.value, g, kernel, stride, mode)
-        np.testing.assert_array_equal(x.grad, expected)
+        xv = rng.normal(size=shape)
+        # rounded to integers, many windows share their maximum
+        for x in (Tensor(xv), Tensor(np.round(xv))):
+            tape = GradientTape()
+            out = pool1d(x, kernel, stride, mode, tape)
+            g = rng.normal(size=out.shape)
+            tape.backward(out, seed=g)
+            # the scatter leaves every position it does not reach at +0.0, as
+            # adding a where(argmax == j, g, 0.0) share would
+            expected = pool_backward_reference(x.value, g, kernel, stride, mode)
+            assert_same_bits(x.grad, expected)
 
     @pytest.mark.parametrize("shape", [(24,), (3, 24)])
     def test_stride_output_is_contiguous(self, shape):
