@@ -27,13 +27,12 @@ protocol = BenchmarkProtocol(
 )
 
 specs = [
-    ModelSpec("dmidas", "dmidas", {"blocks_per_stack": 2, "mlp_widths": (64, 64),
-                                   "base_ratio": 0.5}),
-    ModelSpec("nbeats-g", "nbeats-g", {"blocks_per_stack": 2, "mlp_widths": (64, 64)}),
-    ModelSpec("mlp", "mlp", {"mlp_widths": (64, 64)}),
+    ModelSpec("dmidas", "dmidas", blocks_per_stack=2, mlp_widths=(64, 64), base_ratio=0.5),
+    ModelSpec("nbeats-g", "nbeats-g", blocks_per_stack=2, mlp_widths=(64, 64)),
+    ModelSpec("mlp", "mlp", mlp_widths=(64, 64)),
     # period 24 fits inside every cell's input window (3x the horizon); it
     # nails the fast component but misses the period-96 one, so it is beatable
-    ModelSpec("seasonal-naive", "seasonal-naive", {"period": 24}),
+    ModelSpec("seasonal-naive", "seasonal-naive", period=24),
 ]
 
 print("running 4 models x 2 horizons (each trained cell fits its own ensemble) ...")

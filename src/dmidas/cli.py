@@ -2,8 +2,9 @@
 search and param-count, all deterministic under --seed.
 
 Run configuration is flat INI (sections run/data/model/training/ensemble/
-evaluation/search) with unknown keys rejected; --seed and --jobs override
-[run]. Every command writes the resolved configuration next to its outputs.
+evaluation/search) with unknown keys rejected and every key parsed as its type
+on load; --seed and --jobs override [run]. Every command writes the resolved
+configuration next to its outputs.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 training or
 runtime error.
 """
@@ -15,7 +16,7 @@ import configparser
 import json
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,61 +37,101 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-# section -> key -> default (as INI text)
-CONFIG_SCHEMA = {
-    "run": {
-        "seed": "0",
-        "jobs": "1",
-    },
-    "data": {
-        "id_column": "id",
-        "time_column": "time",
-        "value_column": "value",
-        "delimiter": ",",
-    },
-    "model": {
-        "kind": "dmidas",
-        "input_size": "288",
-        "horizon": "96",
-        "stacks": "1",
-        "blocks_per_stack": "3",
-        "mlp_widths": "512,512",
-        "base_ratio": "0.5",
-        "ratio_schedule": "exponential",
-        "pooling_schedule": "auto",
-        "pooling_mode": "avg",
-        "poly_degree": "2",
-        "n_harmonics": "4",
-        "shared_weights": "false",
-    },
-    "training": {
-        "lr": "1e-3",
-        "iterations": "1000",
-        "batch_size": "128",
-        "l1_lambda": "0",
-        "early_stop_patience": "10",
-        "eval_every": "100",
-        "loss": "mae",
-        "normalization": "per-series-median",
-    },
-    "ensemble": {
-        "n_members": "4",
-        "member_seeds": "",
-    },
-    "evaluation": {
-        "horizons": "96",
-        "val_len": "480",
-        "test_len": "960",
-        "models": "dmidas,seasonal-naive",
-        "naive_period": "168",
-        "scope": "global",
-    },
-    "search": {
-        "budget": "16",
-    },
+
+def _boolean(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _seeds(text: str) -> tuple[int, ...] | None:
+    return _ints(text) or None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def _ratio_schedule(text: str):
+    return text if text == "exponential" else tuple(
+        float(x) for x in text.split(",") if x.strip())
+
+
+def _pooling_schedule(text: str):
+    if text == "auto":
+        return text
+    return _ints(text) if "," in text else int(text)
+
+
+# what a converter's ValueError or LookupError means
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _boolean: "a boolean",
+    _ints: "a comma-separated list of ints",
+    _seeds: "a comma-separated list of ints",
+    _ratio_schedule: "'exponential' or a comma-separated list of numbers",
+    _pooling_schedule: "'auto', an integer or a comma-separated list of ints",
 }
 
-MODEL_KINDS = ("dmidas", "nbeats-g", "nbeats-i", "mlp")
+
+def _ini_text(value) -> str:
+    """A [model] default as the INI text its converter reads back (False as false)."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value).lower()
+
+
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(metrics_mod.ModelSpec)}
+
+# section -> key -> (default as INI text, converter to the key's type)
+CONFIG_SCHEMA = {
+    "run": {
+        "seed": ("0", int),
+        "jobs": ("1", int),
+    },
+    "data": {
+        "id_column": ("id", str),
+        "time_column": ("time", lambda text: text or None),
+        "value_column": ("value", str),
+        "delimiter": (",", str),
+    },
+    "model": {
+        "kind": ("dmidas", str),
+        "input_size": ("288", int),
+        "horizon": ("96", int),
+        **{key: (_ini_text(_SPEC_DEFAULTS[key]), convert) for key, convert in (
+            ("stacks", int), ("blocks_per_stack", int), ("mlp_widths", _ints),
+            ("base_ratio", float), ("ratio_schedule", _ratio_schedule),
+            ("pooling_schedule", _pooling_schedule), ("pooling_mode", str),
+            ("poly_degree", int), ("n_harmonics", int), ("shared_weights", _boolean))},
+    },
+    "training": {
+        "lr": ("1e-3", float),
+        "iterations": ("1000", int),
+        "batch_size": ("128", int),
+        "l1_lambda": ("0", float),
+        "early_stop_patience": ("10", int),
+        "eval_every": ("100", int),
+        "loss": ("mae", str),
+        "normalization": ("per-series-median", str),
+    },
+    "ensemble": {
+        "n_members": ("4", int),
+        "member_seeds": ("", _seeds),
+    },
+    "evaluation": {
+        "horizons": ("96", _ints),
+        "val_len": ("480", int),
+        "test_len": ("960", int),
+        "models": ("dmidas,seasonal-naive", _names),
+        "naive_period": ("168", int),
+        "scope": ("global", str),
+    },
+    "search": {
+        "budget": ("16", int),
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,38 +143,32 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """A parsed and validated run configuration file."""
+    """A run configuration as INI text; ``value`` reads a key as its schema type."""
 
     sections: dict
 
     def get(self, section: str, key: str) -> str:
         return self.sections[section][key]
 
-    def _parse(self, section: str, key: str, convert, expected: str):
-        value = self.get(section, key)
+    def value(self, section: str, key: str):
+        text = self.sections[section][key]
+        convert = CONFIG_SCHEMA[section][key][1]
         try:
-            return convert(value)
+            return convert(text)
         except (ValueError, LookupError):
-            raise ConfigError(f"[{section}] {key} = {value} is not {expected}") from None
+            raise ConfigError(f"[{section}] {key} = {text} is not "
+                              f"{_EXPECTED[convert]}") from None
 
-    def getint(self, section: str, key: str) -> int:
-        return self._parse(section, key, int, "an integer")
-
-    def getfloat(self, section: str, key: str) -> float:
-        return self._parse(section, key, float, "a number")
-
-    def getboolean(self, section: str, key: str) -> bool:
-        return self._parse(section, key,
-                           lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
-                           "a boolean")
-
-    def getlist(self, section: str, key: str, convert=int) -> list:
-        return self._parse(section, key,
-                           lambda v: [convert(x) for x in v.split(",") if x.strip()],
-                           f"a comma-separated list of {convert.__name__}s")
+    def build(self, cls, section: str, **overrides):
+        """``cls`` from the keys of ``section`` that name its fields, then ``overrides``."""
+        names = {f.name for f in fields(cls)}
+        values = {key: self.value(section, key) for key in self.sections[section]
+                  if key in names}
+        return cls(**{**values, **overrides})
 
 
 def load_run_config(path) -> RunConfig:
+    """Read ``path`` over the defaults; every key must parse as its type."""
     parser = configparser.ConfigParser()
     config = default_run_config()
     try:
@@ -148,12 +183,15 @@ def load_run_config(path) -> RunConfig:
                 config.sections[section][key] = value
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file '{path}': {exc}") from None
+    for section, keys in config.sections.items():
+        for key in keys:
+            config.value(section, key)
     return config
 
 
 def default_run_config() -> RunConfig:
-    return RunConfig(sections={name: dict(defaults)
-                               for name, defaults in CONFIG_SCHEMA.items()})
+    return RunConfig(sections={name: {key: default for key, (default, _) in keys.items()}
+                               for name, keys in CONFIG_SCHEMA.items()})
 
 
 def _run_config(args) -> RunConfig:
@@ -161,10 +199,10 @@ def _run_config(args) -> RunConfig:
     config = load_run_config(args.config)
     for key in ("seed", "jobs"):
         flag = getattr(args, key)
-        config.sections["run"][key] = str(config.getint("run", key) if flag is None else flag)
-    if config.getint("run", "seed") < 0:
+        config.sections["run"][key] = str(config.value("run", key) if flag is None else flag)
+    if config.value("run", "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {config.get('run', 'seed')}")
-    if config.getint("run", "jobs") < 1:
+    if config.value("run", "jobs") < 1:
         raise ConfigError(f"jobs must be >= 1, got {config.get('run', 'jobs')}")
     return config
 
@@ -177,77 +215,22 @@ def write_resolved_config(config: RunConfig, path) -> None:
         parser.write(handle)
 
 
-def _model_spec_from_config(config: RunConfig, name: str) -> metrics_mod.ModelSpec:
-    if name == "seasonal-naive":
-        return metrics_mod.ModelSpec(name=name, kind="seasonal-naive",
-                                     params={"period": config.getint("evaluation", "naive_period")})
-    if name not in MODEL_KINDS:
-        raise ConfigError(f"unknown model '{name}', expected one of "
-                          f"{MODEL_KINDS + ('seasonal-naive',)}")
-    params = {
-        "stacks": config.getint("model", "stacks"),
-        "blocks_per_stack": config.getint("model", "blocks_per_stack"),
-        "mlp_widths": tuple(config.getlist("model", "mlp_widths")),
-        "base_ratio": config.getfloat("model", "base_ratio"),
-        "pooling_mode": config.get("model", "pooling_mode"),
-        "poly_degree": config.getint("model", "poly_degree"),
-        "n_harmonics": config.getint("model", "n_harmonics"),
-        "input_size": config.getint("model", "input_size"),
-        "shared_weights": config.getboolean("model", "shared_weights"),
-    }
-    sched = config.get("model", "ratio_schedule")
-    params["ratio_schedule"] = sched if sched == "exponential" else tuple(
-        config.getlist("model", "ratio_schedule", float))
-    pooling = config.get("model", "pooling_schedule")
-    if pooling == "auto":
-        params["pooling_schedule"] = "auto"
-    elif "," in pooling:
-        params["pooling_schedule"] = tuple(config.getlist("model", "pooling_schedule"))
-    else:
-        params["pooling_schedule"] = config.getint("model", "pooling_schedule")
-    return metrics_mod.ModelSpec(name=name, kind=name, params=params)
+def _model_config(config: RunConfig):
+    """The buildable config of the [model] section."""
+    kind = config.value("model", "kind")
+    spec = config.build(metrics_mod.ModelSpec, "model", name=kind)
+    return metrics_mod.model_config_for(spec, spec.input_size, config.value("model", "horizon"))
 
 
-def _model_config_from_run(config: RunConfig):
-    spec = _model_spec_from_config(config, config.get("model", "kind"))
-    input_size = config.getint("model", "input_size")
-    horizon = config.getint("model", "horizon")
-    return metrics_mod.model_config_for(spec, input_size, horizon)
-
-
-def _train_config_from_run(config: RunConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lr=config.getfloat("training", "lr"),
-        iterations=config.getint("training", "iterations"),
-        batch_size=config.getint("training", "batch_size"),
-        l1_lambda=config.getfloat("training", "l1_lambda"),
-        early_stop_patience=config.getint("training", "early_stop_patience"),
-        eval_every=config.getint("training", "eval_every"),
-        seed=seed,
-        loss_kind=config.get("training", "loss"),
-        normalization=config.get("training", "normalization"),
-    )
-
-
-def _ensemble_from_run(config: RunConfig) -> EnsembleConfig:
-    seeds = config.getlist("ensemble", "member_seeds")
-    return EnsembleConfig(n_members=config.getint("ensemble", "n_members"),
-                          member_seeds=seeds or None)
-
-
-def _schema_from_run(config: RunConfig) -> data_mod.CsvSchema:
-    return data_mod.CsvSchema(
-        id_column=config.get("data", "id_column"),
-        value_column=config.get("data", "value_column"),
-        time_column=config.get("data", "time_column") or None,
-        delimiter=config.get("data", "delimiter"),
-    )
+def _train_config(config: RunConfig, seed: int) -> TrainConfig:
+    return config.build(TrainConfig, "training", loss_kind=config.value("training", "loss"),
+                        seed=seed)
 
 
 def _windows(config: RunConfig, dataset, part: str, input_size: int, horizon: int):
     """One part of the run config's tail split, windowed and normalized."""
-    split = split_tail(dataset, config.getint("evaluation", "val_len"),
-                       config.getint("evaluation", "test_len"))
+    split = split_tail(dataset, config.value("evaluation", "val_len"),
+                       config.value("evaluation", "test_len"))
     return prepared_windows(split, part, input_size, horizon,
                             config.get("training", "normalization"))
 
@@ -311,19 +294,20 @@ def _load_dataset(args, config: RunConfig):
     path = Path(args.data)
     if not path.is_file():
         raise DataError(f"data file '{path}' does not exist")
-    return data_mod.load_csv(path, _schema_from_run(config), name=path.stem)
+    return data_mod.load_csv(path, config.build(data_mod.CsvSchema, "data"), name=path.stem)
 
 
 def cmd_train(args) -> int:
     config = _run_config(args)
+    model_config = _model_config(config)
+    train_cfg = _train_config(config, config.value("run", "seed"))
+    ensemble = config.build(EnsembleConfig, "ensemble")
     dataset = _load_dataset(args, config)
-    shape = config.getint("model", "input_size"), config.getint("model", "horizon")
+    shape = model_config.input_size, model_config.horizon
     train_n = _windows(config, dataset, "train", *shape)
     val_n = _windows(config, dataset, "val", *shape)
-    model_config = _model_config_from_run(config)
-    train_cfg = _train_config_from_run(config, config.getint("run", "seed"))
-    members = train_ensemble(model_config, train_n, val_n, train_cfg,
-                             _ensemble_from_run(config), jobs=config.getint("run", "jobs"))
+    members = train_ensemble(model_config, train_n, val_n, train_cfg, ensemble,
+                             jobs=config.value("run", "jobs"))
 
     out = Path(args.out)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -340,28 +324,23 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _run_config(args)
-    seed = config.getint("run", "seed")
     dataset = _load_dataset(args, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out / "config.resolved")
-
     if args.checkpoints:
         report = _evaluate_checkpoints(args, config, dataset)
     else:
-        model_names = [m.strip() for m in config.get("evaluation", "models").split(",")
-                       if m.strip()]
-        specs = [_model_spec_from_config(config, name) for name in model_names]
-        protocol = metrics_mod.BenchmarkProtocol(
-            val_len=config.getint("evaluation", "val_len"),
-            test_len=config.getint("evaluation", "test_len"),
-            train=_train_config_from_run(config, seed),
-            ensemble=_ensemble_from_run(config),
-            scope=config.get("evaluation", "scope"),
-        )
-        horizons = config.getlist("evaluation", "horizons")
-        report = metrics_mod.run_benchmark(dataset, specs, horizons, protocol,
-                                           seed=seed, jobs=config.getint("run", "jobs"))
+        seed = config.value("run", "seed")
+        period = config.value("evaluation", "naive_period")
+        specs = [metrics_mod.ModelSpec(name, name, period=period) if name == "seasonal-naive"
+                 else config.build(metrics_mod.ModelSpec, "model", name=name, kind=name)
+                 for name in config.value("evaluation", "models")]
+        protocol = config.build(metrics_mod.BenchmarkProtocol, "evaluation",
+                                train=_train_config(config, seed),
+                                ensemble=config.build(EnsembleConfig, "ensemble"))
+        report = metrics_mod.run_benchmark(dataset, specs, config.value("evaluation", "horizons"),
+                                           protocol, seed=seed, jobs=config.value("run", "jobs"))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(config, out / "config.resolved")
     data_mod.write_metrics_json(report, out / "metrics.json")
     table = metrics_mod.render_table(report)
     with open(out / "metrics.txt", "w", encoding="utf-8") as handle:
@@ -459,29 +438,29 @@ def _apply_assignment(config: RunConfig, assignment: dict) -> RunConfig:
 
 def search_objective(config: RunConfig, dataset):
     """Objective for random search: train one model, return validation MAE."""
-    # Parse the base config once, so a malformed file fails the run, not every trial.
-    _model_spec_from_config(config, config.get("model", "kind"))
-    _train_config_from_run(config, 0)
-    shape = config.getint("model", "input_size"), config.getint("model", "horizon")
+    # Build the base configs once, so an out-of-range key fails the run, not every trial.
+    base = _model_config(config)
+    _train_config(config, 0)
+    shape = base.input_size, base.horizon
     train_n = _windows(config, dataset, "train", *shape)
     val_n = _windows(config, dataset, "val", *shape)
 
     def objective(assignment: dict, trial_seed: int) -> float:
         trial = _apply_assignment(config, assignment)
-        model = build_any(_model_config_from_run(trial), trial_seed)
-        return train(model, train_n, val_n, _train_config_from_run(trial, trial_seed)).best_val_mae
+        model = build_any(_model_config(trial), trial_seed)
+        return train(model, train_n, val_n, _train_config(trial, trial_seed)).best_val_mae
 
     return objective
 
 
 def cmd_search(args) -> int:
     config = _run_config(args)
-    budget = args.budget if args.budget is not None else config.getint("search", "budget")
+    budget = args.budget if args.budget is not None else config.value("search", "budget")
     dataset = _load_dataset(args, config)
     objective = search_objective(config, dataset)
     result = search_mod.random_search(default_search_space(), budget, objective,
-                                      seed=config.getint("run", "seed"),
-                                      jobs=config.getint("run", "jobs"))
+                                      seed=config.value("run", "seed"),
+                                      jobs=config.value("run", "jobs"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out / "config.resolved")
@@ -498,7 +477,7 @@ def cmd_search(args) -> int:
 
 def cmd_param_count(args) -> int:
     config = load_run_config(args.config) if args.config else default_run_config()
-    model_config = _model_config_from_run(config)
+    model_config = _model_config(config)
     model = build_any(model_config, seed=0)
     report = count_parameters(model)
     print("configured model")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .blocks import BlockConfig, PoolSpec
 from .data import TimeSeriesDataset
-from .errors import ConfigError, DataError, ShapeError
+from .engine import POOL_MODES
+from .errors import ConfigError, DataError, DmidasError, ShapeError
 from .model import MlpConfig, ModelConfig, StackConfig
 from .training import (EnsembleConfig, TrainConfig, child_seed, denormalize_forecast,
                        ensemble_forecast_batch, parallel_map, prepared_windows,
@@ -52,30 +54,53 @@ def seasonal_naive_forecast(y_in, horizon: int, period: int) -> np.ndarray:
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = frozenset(
-    "input_size stacks blocks_per_stack mlp_widths shared_weights base_ratio ratio_schedule "
-    "pooling_schedule pooling_mode poly_degree n_harmonics period".split())
+KINDS = ("dmidas", "nbeats-g", "nbeats-i", "mlp", "seasonal-naive")
+
+# ModelSpec fields with a lower bound; input_size None is 3 x horizon
+_LEAST = {"stacks": 1, "blocks_per_stack": 1, "poly_degree": 0, "n_harmonics": 1,
+          "input_size": 1, "period": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """One column of the benchmark: a named model family plus its knobs.
 
-    Kinds: dmidas, nbeats-g, nbeats-i, mlp, seasonal-naive. ``params`` may
-    carry input_size (default 3 x horizon), stacks, blocks_per_stack,
-    mlp_widths, shared_weights, base_ratio, ratio_schedule, pooling_schedule,
-    pooling_mode, poly_degree, n_harmonics and period (naive); any other key
-    is a ConfigError.
+    Kinds: dmidas, nbeats-g, nbeats-i, mlp, seasonal-naive (which reads only
+    ``input_size`` and ``period``). Every field is checked whatever the kind,
+    and an error names the field. ``input_size`` None means 3 x horizon.
     """
 
     name: str
     kind: str
-    params: dict = field(default_factory=dict)
+    stacks: int = 1
+    blocks_per_stack: int = 3
+    mlp_widths: tuple[int, ...] = (512, 512)
+    shared_weights: bool = False
+    base_ratio: float = 0.5
+    ratio_schedule: str | tuple[float, ...] = "exponential"
+    pooling_schedule: str | int | tuple[int, ...] = "auto"
+    pooling_mode: str = "avg"
+    poly_degree: int = 2
+    n_harmonics: int = 4
+    input_size: int | None = None
+    period: int = 1
 
     def __post_init__(self):
-        unknown = sorted(set(self.params) - _PARAM_KEYS)
-        if unknown:
-            raise ConfigError(f"model '{self.name}' has unknown param '{unknown[0]}'")
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown model '{self.kind}', expected one of {KINDS}")
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ConfigError(f"model '{self.name}': {key} must be >= {least}, got {value}")
+        if not self.mlp_widths or min(self.mlp_widths) < 1:
+            raise ConfigError(f"model '{self.name}': mlp_widths must be positive ints, "
+                              f"got {self.mlp_widths}")
+        if not 0.0 < self.base_ratio <= 1.0:
+            raise ConfigError(f"model '{self.name}': base_ratio must lie in (0, 1], "
+                              f"got {self.base_ratio}")
+        if self.pooling_mode not in POOL_MODES:
+            raise ConfigError(f"model '{self.name}': unknown pooling_mode "
+                              f"'{self.pooling_mode}', expected one of {POOL_MODES}")
 
 
 @dataclass
@@ -165,37 +190,25 @@ def relative_improvement(report: MetricsReport, baseline_model: str) -> dict:
 
 
 def model_config_for(spec: ModelSpec, input_size: int, horizon: int):
-    """Materialize a buildable config for one benchmark column."""
-    p = spec.params
-    widths = tuple(p.get("mlp_widths", (512, 512)))
+    """Materialize a buildable config for one trained benchmark column."""
     if spec.kind == "mlp":
-        return MlpConfig(input_size, horizon, widths)
-    shared = bool(p.get("shared_weights", False))
+        return MlpConfig(input_size, horizon, spec.mlp_widths)
+    block = partial(BlockConfig, input_size=input_size, horizon=horizon,
+                    mlp_widths=spec.mlp_widths)
+    schedules = {}
     if spec.kind == "dmidas":
-        template = BlockConfig(basis="midas", input_size=input_size, horizon=horizon,
-                               mlp_widths=widths,
-                               pooling=PoolSpec(mode=p.get("pooling_mode", "avg")))
-        stacks = tuple(StackConfig(p.get("blocks_per_stack", 3), template, shared)
-                       for _ in range(p.get("stacks", 1)))
-        return ModelConfig(stacks=stacks, input_size=input_size, horizon=horizon,
-                           base_ratio=p.get("base_ratio", 0.5),
-                           ratio_schedule=p.get("ratio_schedule", "exponential"),
-                           pooling_schedule=p.get("pooling_schedule", "auto"))
-    if spec.kind == "nbeats-g":
-        template = BlockConfig(basis="generic", input_size=input_size, horizon=horizon,
-                               mlp_widths=widths)
-        stacks = tuple(StackConfig(p.get("blocks_per_stack", 3), template, shared)
-                       for _ in range(p.get("stacks", 1)))
-        return ModelConfig(stacks=stacks, input_size=input_size, horizon=horizon)
-    if spec.kind == "nbeats-i":
-        trend = BlockConfig(basis="polynomial", input_size=input_size, horizon=horizon,
-                            mlp_widths=widths, poly_degree=p.get("poly_degree", 2))
-        seasonal = BlockConfig(basis="harmonic", input_size=input_size, horizon=horizon,
-                               mlp_widths=widths, n_harmonics=p.get("n_harmonics", 4))
-        stacks = (StackConfig(p.get("blocks_per_stack", 3), trend, shared),
-                  StackConfig(p.get("blocks_per_stack", 3), seasonal, shared))
-        return ModelConfig(stacks=stacks, input_size=input_size, horizon=horizon)
-    raise ConfigError(f"unknown model kind '{spec.kind}'")
+        templates = [block(basis="midas", pooling=PoolSpec(mode=spec.pooling_mode))] * spec.stacks
+        schedules = dict(base_ratio=spec.base_ratio, ratio_schedule=spec.ratio_schedule,
+                         pooling_schedule=spec.pooling_schedule)
+    elif spec.kind == "nbeats-g":
+        templates = [block(basis="generic")] * spec.stacks
+    elif spec.kind == "nbeats-i":
+        templates = [block(basis="polynomial", poly_degree=spec.poly_degree),
+                     block(basis="harmonic", n_harmonics=spec.n_harmonics)]
+    else:
+        raise ConfigError(f"model '{spec.name}' of kind '{spec.kind}' is not trained")
+    stacks = tuple(StackConfig(spec.blocks_per_stack, t, spec.shared_weights) for t in templates)
+    return ModelConfig(stacks=stacks, input_size=input_size, horizon=horizon, **schedules)
 
 
 def score_windows(windows, forecasts, dataset: str, horizon: int, model: str) -> MetricEntry:
@@ -220,20 +233,20 @@ def score_windows(windows, forecasts, dataset: str, horizon: int, model: str) ->
                        n_windows=len(windows))
 
 
-def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
+def _forecast_trained(config, split, protocol, seed):
     """Train one ensemble per scope group; returns (test windows, forecasts)."""
     windows, forecasts = [], []
     groups = [split.splits] if protocol.scope == "global" else [[sp] for sp in split.splits]
+    shape = config.input_size, config.horizon
     mode = protocol.train.normalization
     for g_idx, group in enumerate(groups):
         sub = replace(split, splits=list(group))
-        test_n = prepared_windows(sub, "test", input_size, horizon, mode)
+        test_n = prepared_windows(sub, "test", *shape, mode)
         if not test_n:
             continue  # nothing to forecast; score_windows reports the empty cell
-        train_n = prepared_windows(sub, "train", input_size, horizon, mode)
-        val_n = prepared_windows(sub, "val", input_size, horizon, mode)
+        train_n = prepared_windows(sub, "train", *shape, mode)
+        val_n = prepared_windows(sub, "val", *shape, mode)
 
-        config = model_config_for(spec, input_size, horizon)
         train_cfg = replace(protocol.train, seed=seed + g_idx)
         members = train_ensemble(config, train_n, val_n, train_cfg, protocol.ensemble)
         windows.extend(test_n)
@@ -244,34 +257,39 @@ def _forecast_trained(spec, horizon, input_size, split, protocol, seed):
 def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
                   horizons: list[int], protocol: BenchmarkProtocol, seed: int = 0,
                   jobs: int = 1) -> MetricsReport:
-    """Train and score every (model, horizon) cell; failures flag the cell only.
+    """Train and score every (model, horizon) cell.
 
-    The split and the horizons, which every cell shares, are checked first:
-    an error in them raises. Test windows roll over the holdout region with
-    stride = horizon, so their targets never overlap; they are scored by
-    ``score_windows``.
+    What the cells share is checked before any of them runs, and an error in
+    it raises: the split, the model and horizon lists (non-empty, no
+    repeats) and every trained cell's model config. A ``DmidasError`` that
+    belongs to one cell flags that cell only: a horizon the test region
+    cannot hold, a naive period longer than the input, an explicit pooling
+    kernel longer than the input. Test windows roll over the holdout region
+    with stride = horizon, so their targets never overlap; they are scored
+    by ``score_windows``.
     """
     split = split_tail(dataset, protocol.val_len, protocol.test_len)
-    for h in horizons:
-        if h < 1:
-            raise ConfigError(f"horizons must be >= 1, got {h}")
-    cells = [(spec, h) for spec in model_specs for h in horizons]
+    for key, values in (("models", [s.name for s in model_specs]), ("horizons", list(horizons))):
+        if not values or len(set(values)) != len(values):
+            raise ConfigError(f"{key} must be a non-empty list without repeats, got {values}")
+    if min(horizons) < 1:
+        raise ConfigError(f"horizons must be >= 1, got {min(horizons)}")
+    cells = [(spec, h, None if spec.kind == "seasonal-naive"
+              else model_config_for(spec, spec.input_size or 3 * h, h))
+             for spec in model_specs for h in horizons]
 
     def run_cell(args) -> MetricEntry:
-        (spec, horizon), index = args
-        cell_seed = child_seed(seed, index)
+        (spec, horizon, config), index = args
         try:
-            input_size = int(spec.params.get("input_size", 3 * horizon))
-            if spec.kind == "seasonal-naive":
-                period = int(spec.params.get("period", 1))
-                windows = split.test_windows(input_size, horizon)
-                forecasts = [seasonal_naive_forecast(w.input, horizon, period)
+            if config is None:
+                windows = split.test_windows(spec.input_size or 3 * horizon, horizon)
+                forecasts = [seasonal_naive_forecast(w.input, horizon, spec.period)
                              for w in windows]
             else:
-                windows, forecasts = _forecast_trained(spec, horizon, input_size, split,
-                                                       protocol, cell_seed)
+                windows, forecasts = _forecast_trained(config, split, protocol,
+                                                       child_seed(seed, index))
             return score_windows(windows, forecasts, dataset.name, horizon, spec.name)
-        except Exception as exc:
+        except DmidasError as exc:
             return MetricEntry(dataset=dataset.name, horizon=horizon, model=spec.name,
                                mae=None, rmse=None, error=str(exc))
 

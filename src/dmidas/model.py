@@ -223,8 +223,8 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if not self.widths:
-            raise ConfigError("mlp baseline needs at least one hidden width")
+        if not self.widths or min(self.widths) < 1:
+            raise ConfigError(f"mlp baseline needs positive hidden widths, got {self.widths}")
         if self.input_size < 1 or self.horizon < 1:
             raise ConfigError("input_size and horizon must be >= 1")
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import dmidas
-from dmidas import training
-from dmidas.cli import load_run_config, main, search_objective, write_resolved_config
+from dmidas import metrics, training
+from dmidas.cli import (default_run_config, load_run_config, main, search_objective,
+                         write_resolved_config)
 from dmidas.data import load_csv, load_decomposition_csv
 
 TINY_SPEC = {
@@ -161,9 +162,32 @@ MALFORMED_CONFIGS = {
 }
 
 
+# ``write_resolved_config(default_run_config())``, byte for byte
+RESOLVED_DEFAULTS = (
+    "[run]\nseed = 0\njobs = 1\n\n"
+    "[data]\nid_column = id\ntime_column = time\nvalue_column = value\ndelimiter = ,\n\n"
+    "[model]\nkind = dmidas\ninput_size = 288\nhorizon = 96\nstacks = 1\n"
+    "blocks_per_stack = 3\nmlp_widths = 512,512\nbase_ratio = 0.5\n"
+    "ratio_schedule = exponential\npooling_schedule = auto\npooling_mode = avg\n"
+    "poly_degree = 2\nn_harmonics = 4\nshared_weights = false\n\n"
+    "[training]\nlr = 1e-3\niterations = 1000\nbatch_size = 128\nl1_lambda = 0\n"
+    "early_stop_patience = 10\neval_every = 100\nloss = mae\n"
+    "normalization = per-series-median\n\n"
+    "[ensemble]\nn_members = 4\nmember_seeds = \n\n"
+    "[evaluation]\nhorizons = 96\nval_len = 480\ntest_len = 960\n"
+    "models = dmidas,seasonal-naive\nnaive_period = 168\nscope = global\n\n"
+    "[search]\nbudget = 16\n\n"
+)
+
+
 class TestRunConfig:
+    def test_default_resolved_config_bytes(self, tmp_path):
+        write_resolved_config(default_run_config(), tmp_path / "defaults.ini")
+        assert (tmp_path / "defaults.ini").read_bytes() == RESOLVED_DEFAULTS.encode()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
-    def test_malformed_config_exit_one(self, workspace, capsys, case):
+    def test_malformed_config_exit_one(self, workspace, capsys, case, command):
         tmp_path, config, data = workspace
         old, new = MALFORMED_CONFIGS[case]
         text = open(config).read()
@@ -172,7 +196,7 @@ class TestRunConfig:
         bad.write_text(text.replace(old, new, 1))
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["train", data, "--config", str(bad), "--out", str(out)]) == 1
+        assert main([command, data, "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("configuration error")
         assert not out.exists()
 
@@ -286,8 +310,9 @@ class TestTrain:
 RUN_COMMANDS = ["train", "evaluate", "evaluate --checkpoints", "forecast", "decompose", "search"]
 
 
-def _assert_flag_rejected(workspace, capsys, command, flag, message):
-    """``command`` with ``flag`` exits 1 with ``message`` and writes nothing."""
+def _assert_rejected(workspace, capsys, command, flag, message, config_text=None):
+    """``command`` with ``flag``, and with ``config_text`` as its config if given,
+    exits 1 with ``message`` and writes nothing."""
     tmp_path, config, data = workspace
     run = tmp_path / "run"
     assert main(["train", data, "--config", config, "--out", str(run)]) == 0
@@ -297,9 +322,12 @@ def _assert_flag_rejected(workspace, capsys, command, flag, message):
         "decompose": ["--checkpoint", str(run / "checkpoints" / "member_0.npz")],
         "search": ["--budget", "1"],
     }.get(command, [])
+    if config_text is not None:
+        config = tmp_path / "command.ini"
+        config.write_text(config_text)
     out = tmp_path / "out"
     capsys.readouterr()
-    code = main([command.split()[0], data, "--config", config, "--out", str(out),
+    code = main([command.split()[0], data, "--config", str(config), "--out", str(out),
                  *flag, *extra])
     assert code == 1
     assert message in capsys.readouterr().err
@@ -309,11 +337,19 @@ def _assert_flag_rejected(workspace, capsys, command, flag, message):
 class TestJobsOption:
     @pytest.mark.parametrize("command", RUN_COMMANDS)
     def test_jobs_zero_exit_one(self, workspace, capsys, command):
-        _assert_flag_rejected(workspace, capsys, command, ["--jobs", "0"], "jobs must be >= 1")
+        _assert_rejected(workspace, capsys, command, ["--jobs", "0"], "jobs must be >= 1")
 
     @pytest.mark.parametrize("command", RUN_COMMANDS)
     def test_negative_seed_exit_one(self, workspace, capsys, command):
-        _assert_flag_rejected(workspace, capsys, command, ["--seed", "-1"], "seed must be >= 0")
+        _assert_rejected(workspace, capsys, command, ["--seed", "-1"], "seed must be >= 0")
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_every_key_parses_as_its_type(self, workspace, capsys, command):
+        text = TINY_CONFIG.replace("base_ratio = 0.5", "base_ratio = abc")
+        _assert_rejected(workspace, capsys, command, [],
+                         "[model] base_ratio = abc is not a number", text)
 
 
 class TestEvaluate:
@@ -355,20 +391,62 @@ class TestEvaluate:
         error = payload["data"]["8"]["seasonal-naive"]["error"]
         assert "no test windows" in error and "seasonal-naive" in error
 
+    @staticmethod
+    def _with_key(text: str, key: str, value: str) -> str:
+        """``text`` with ``key = value``: in place where it is set, else under [model]."""
+        lines = text.splitlines()
+        if not any(line.startswith(f"{key} =") for line in lines):
+            return text.replace("[model]\n", f"[model]\n{key} = {value}\n", 1)
+        return "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                         for line in lines)
+
     @pytest.mark.parametrize("key, value, message", [
         ("val_len", "-5", "val_len and test_len must be >= 0"),
         ("horizons", "0", "horizons must be >= 1, got 0"),
+        ("horizons", "", "horizons must be a non-empty list without repeats, got []"),
+        ("models", ",", "models must be a non-empty list without repeats, got []"),
+        ("naive_period", "0", "model 'seasonal-naive': period must be >= 1, got 0"),
+        ("base_ratio", "nan", "base_ratio must lie in (0, 1], got nan"),
+        ("input_size", "0", "input_size must be >= 1, got 0"),
+        ("mlp_widths", "0", "mlp_widths must be positive ints, got (0,)"),
+        ("pooling_mode", "bogus", "unknown pooling_mode 'bogus'"),
+        ("blocks_per_stack", "0", "blocks_per_stack must be >= 1, got 0"),
+        ("ratio_schedule", "0.5", "ratio_schedule lists 1 values for 2 blocks"),
     ])
     def test_error_every_cell_shares_exits_one(self, workspace, capsys, key, value, message):
         tmp_path, config, data = workspace
         bad = tmp_path / "bad.ini"
-        text = open(config).read().replace("models = dmidas,seasonal-naive",
-                                           "models = seasonal-naive")
-        bad.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
-                                 for line in text.splitlines()))
+        bad.write_text(self._with_key(open(config).read(), key, value))
         assert main(["evaluate", data, "--config", str(bad), "--out", str(tmp_path / "e")]) == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "e" / "metrics.json").exists()
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("key, value", [("models", "dmidas,seasonal-naive,dmidas"),
+                                            ("horizons", "8,8")])
+    def test_repeated_entry_exits_one_before_training(self, workspace, capsys, monkeypatch,
+                                                      key, value):
+        tmp_path, config, data = workspace
+        calls = []
+        real = metrics.train_ensemble
+        monkeypatch.setattr(metrics, "train_ensemble",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(self._with_key(open(config).read(), key, value))
+        assert main(["evaluate", data, "--config", str(bad), "--out", str(tmp_path / "e")]) == 1
+        assert f"{key} " in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "e").exists()
+
+    def test_naive_period_above_the_input_is_an_error_cell(self, workspace):
+        tmp_path, config, data = workspace
+        long = tmp_path / "long.ini"
+        long.write_text(self._with_key(open(config).read(), "naive_period", "30"))
+        out = tmp_path / "e"
+        assert main(["evaluate", data, "--config", str(long), "--out", str(out)]) == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        assert "mae" in payload["data"]["8"]["dmidas"]
+        assert "period 30 exceeds input length 24" in \
+            payload["data"]["8"]["seasonal-naive"]["error"]
 
     def test_horizon_the_test_region_cannot_hold_is_an_error_cell(self, workspace):
         tmp_path, config, data = workspace

@@ -124,21 +124,48 @@ class TestModelSpecs:
         from dmidas.model import build_any
 
         for kind in ("dmidas", "nbeats-g", "nbeats-i", "mlp"):
-            spec = ModelSpec(kind, kind, {"blocks_per_stack": 1, "mlp_widths": (8,)})
+            spec = ModelSpec(kind, kind, blocks_per_stack=1, mlp_widths=(8,))
             config = model_config_for(spec, input_size=24, horizon=8)
             model = build_any(config, seed=0)
             bundle = model.forward(np.zeros(24))
             assert bundle.forecast.shape == (8,)
 
     def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model 'transformer'"):
+            ModelSpec("x", "transformer")
+
+    def test_naive_kind_has_no_trained_config(self):
         from dmidas.metrics import model_config_for
 
-        with pytest.raises(ConfigError):
-            model_config_for(ModelSpec("x", "transformer"), 8, 4)
+        with pytest.raises(ConfigError, match="'seasonal-naive' is not trained"):
+            model_config_for(ModelSpec("n", "seasonal-naive"), 8, 4)
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ConfigError, match="model 'd' has unknown param 'block_per_stack'"):
-            ModelSpec("d", "dmidas", {"block_per_stack": 1})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'block_per_stack'"):
+            ModelSpec("d", "dmidas", block_per_stack=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"stacks": 0}, "stacks must be >= 1, got 0"),
+        ({"blocks_per_stack": 0}, "blocks_per_stack must be >= 1, got 0"),
+        ({"poly_degree": -1}, "poly_degree must be >= 0, got -1"),
+        ({"n_harmonics": 0}, "n_harmonics must be >= 1, got 0"),
+        ({"input_size": 0}, "input_size must be >= 1, got 0"),
+        ({"period": 0}, "period must be >= 1, got 0"),
+        ({"mlp_widths": (8, 0)}, r"mlp_widths must be positive ints, got \(8, 0\)"),
+        ({"mlp_widths": ()}, "mlp_widths must be positive ints"),
+        ({"base_ratio": float("nan")}, r"base_ratio must lie in \(0, 1\], got nan"),
+        ({"pooling_mode": "bogus"}, "unknown pooling_mode 'bogus'"),
+    ])
+    def test_out_of_range_field_named(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec("d", **{"kind": "dmidas", **fields})
+
+    def test_defaults_materialize_the_cli_default_model(self):
+        from dmidas.metrics import model_config_for
+
+        config = model_config_for(ModelSpec("d", "dmidas"), input_size=288, horizon=96)
+        assert config.total_blocks == 3 and config.base_ratio == 0.5
+        assert config.stacks[0].block_template.mlp_widths == (512, 512)
 
     def test_two_by_two_table_shape(self):
         entries = [MetricEntry("ds", h, m, 1.0 + i, 2.0 + i)
@@ -165,7 +192,7 @@ class TestRunBenchmark:
         return generate_synthetic(spec)
 
     def test_single_cell_report(self):
-        specs = [ModelSpec("naive", "seasonal-naive", {"period": 12})]
+        specs = [ModelSpec("naive", "seasonal-naive", period=12)]
         report = run_benchmark(self.data(), specs, [6], self.protocol())
         assert len(report.entries) == 1
         assert report.entries[0].model == "naive"
@@ -174,22 +201,21 @@ class TestRunBenchmark:
     def test_constant_series_naive_scores_zero(self):
         ds = TimeSeriesDataset(series=[Series(id="c", values=np.full(200, 3.0))],
                                name="const")
-        specs = [ModelSpec("naive", "seasonal-naive", {"period": 1})]
+        specs = [ModelSpec("naive", "seasonal-naive", period=1)]
         report = run_benchmark(ds, specs, [6], self.protocol())
         assert report.entries[0].mae == 0.0
         assert report.entries[0].rmse == 0.0
 
     def test_equal_seeds_identical_reports(self):
-        specs = [ModelSpec("dmidas", "dmidas",
-                           {"blocks_per_stack": 1, "mlp_widths": (8,)}),
-                 ModelSpec("naive", "seasonal-naive", {"period": 12})]
+        specs = [ModelSpec("dmidas", "dmidas", blocks_per_stack=1, mlp_widths=(8,)),
+                 ModelSpec("naive", "seasonal-naive", period=12)]
         a = run_benchmark(self.data(), specs, [6], self.protocol(), seed=3)
         b = run_benchmark(self.data(), specs, [6], self.protocol(), seed=3)
         for ea, eb in zip(a.entries, b.entries):
             assert ea.mae == eb.mae and ea.rmse == eb.rmse
 
     def test_aggregation_matches_bruteforce(self):
-        specs = [ModelSpec("naive", "seasonal-naive", {"period": 12})]
+        specs = [ModelSpec("naive", "seasonal-naive", period=12)]
         report = run_benchmark(self.data(), specs, [6], self.protocol())
         entry = report.entries[0]
         split = split_tail(self.data(), 24, 24)
@@ -206,23 +232,61 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("kind", ["seasonal-naive", "dmidas"])
     def test_no_test_windows_flags_the_cell(self, kind):
-        specs = [ModelSpec("m", kind, {"period": 12, "blocks_per_stack": 1,
-                                       "mlp_widths": (8,)})]
+        specs = [ModelSpec("m", kind, period=12, blocks_per_stack=1, mlp_widths=(8,))]
         protocol = replace(self.protocol(), test_len=0)
         entry = run_benchmark(self.data(), specs, [6], protocol).entries[0]
         assert entry.mae is None and entry.rmse is None
         assert "no test windows" in entry.error
 
     def test_failed_cell_is_flagged_and_run_continues(self):
-        specs = [ModelSpec("naive", "seasonal-naive", {"period": 999}),
-                 ModelSpec("ok", "seasonal-naive", {"period": 12})]
+        specs = [ModelSpec("naive", "seasonal-naive", period=999),
+                 ModelSpec("ok", "seasonal-naive", period=12)]
         report = run_benchmark(self.data(), specs, [6], self.protocol())
         assert ("bench", 6, "naive") in report.incomplete
         assert report.get("bench", 6, "ok").mae is not None
 
+    @pytest.mark.parametrize("names, horizons, message", [
+        ([], [6], r"models must be a non-empty list without repeats, got \[\]"),
+        (["naive"], [], r"horizons must be a non-empty list without repeats, got \[\]"),
+        (["naive", "ok", "naive"], [6], "models .* without repeats, got .'naive', 'ok', 'naive'."),
+        (["naive"], [6, 6], r"horizons .* without repeats, got \[6, 6\]"),
+    ])
+    def test_empty_or_repeated_lists_raise(self, names, horizons, message):
+        specs = [ModelSpec(name, "seasonal-naive", period=12) for name in names]
+        with pytest.raises(ConfigError, match=message):
+            run_benchmark(self.data(), specs, horizons, self.protocol())
+
+    def test_shared_model_config_error_raises_before_any_cell(self, monkeypatch):
+        from dmidas import metrics
+
+        calls = []
+        monkeypatch.setattr(metrics, "train_ensemble", lambda *a, **k: calls.append(a))
+        specs = [ModelSpec("d", "dmidas", blocks_per_stack=2, mlp_widths=(8,),
+                           ratio_schedule=(0.5,))]
+        with pytest.raises(ConfigError, match="ratio_schedule lists 1 values for 2 blocks"):
+            run_benchmark(self.data(), specs, [6], self.protocol())
+        assert calls == []
+
+    def test_pooling_kernel_above_one_input_flags_that_cell(self):
+        specs = [ModelSpec("d", "dmidas", blocks_per_stack=1, mlp_widths=(8,),
+                           pooling_schedule=24)]
+        report = run_benchmark(self.data(), specs, [6, 12], self.protocol(iterations=2))
+        assert "pooling kernel 24 exceeds input length 18" in report.get("bench", 6, "d").error
+        assert report.get("bench", 12, "d").mae is not None
+
+    def test_error_that_is_not_the_package_s_propagates(self, monkeypatch):
+        from dmidas import metrics
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(metrics, "seasonal_naive_forecast", boom)
+        specs = [ModelSpec("naive", "seasonal-naive", period=12)]
+        with pytest.raises(RuntimeError, match="boom"):
+            run_benchmark(self.data(), specs, [6], self.protocol())
+
     def test_trained_model_beats_untrained_on_clean_sine(self):
-        specs = [ModelSpec("dmidas", "dmidas",
-                           {"blocks_per_stack": 1, "mlp_widths": (16,)})]
+        specs = [ModelSpec("dmidas", "dmidas", blocks_per_stack=1, mlp_widths=(16,))]
         trained = run_benchmark(self.data(length=400), specs, [6],
                                 self.protocol(iterations=400), seed=4)
         untrained = run_benchmark(self.data(length=400), specs, [6],
@@ -242,16 +306,14 @@ class TestRunBenchmark:
                                                        eval_every=15),
                                      ensemble=EnsembleConfig(n_members=1),
                                      scope="per-series")
-        specs = [ModelSpec("dmidas", "dmidas",
-                           {"blocks_per_stack": 1, "mlp_widths": (8,)})]
+        specs = [ModelSpec("dmidas", "dmidas", blocks_per_stack=1, mlp_widths=(8,))]
         report = run_benchmark(ds, specs, [6], protocol, seed=7)
         assert not report.incomplete
         assert report.entries[0].n_windows == 8
 
     def test_jobs_do_not_change_results(self):
-        specs = [ModelSpec("dmidas", "dmidas",
-                           {"blocks_per_stack": 1, "mlp_widths": (8,)}),
-                 ModelSpec("naive", "seasonal-naive", {"period": 12})]
+        specs = [ModelSpec("dmidas", "dmidas", blocks_per_stack=1, mlp_widths=(8,)),
+                 ModelSpec("naive", "seasonal-naive", period=12)]
         serial = run_benchmark(self.data(), specs, [6, 12], self.protocol(), seed=8, jobs=1)
         parallel = run_benchmark(self.data(), specs, [6, 12], self.protocol(), seed=8, jobs=3)
         for ea, eb in zip(serial.entries, parallel.entries):

@@ -305,6 +305,10 @@ class TestMlpBaseline:
         with pytest.raises(ConfigError):
             build_mlp_baseline(4, 4, (), seed=0)
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ConfigError, match=r"positive hidden widths, got \(4, 0\)"):
+            MlpConfig(4, 4, (4, 0))
+
 
 def drop_checkpoint_parameter(path, name, keep_meta):
     """Rewrite a checkpoint without the array of ``name``, and without its
