@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,10 +210,9 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     a schema naming any other time column requires it to exist. Values must
     parse as finite floats and times must not parse as NaN, with errors
     reported by line number. A series sorts by numeric time when every one of
-    its times parses as a float, and by the time text otherwise.
+    its times parses as a float, and by the time text otherwise. A plain file
+    takes one numpy pass (``_column_pass``); ``_row_loop`` decides the rest.
     """
-    rows_by_id: dict[str, list[tuple[str | None, float | None, float]]] = {}
-    textual: set[str] = set()
     try:
         with open(path, "rb") as raw_handle:
             raw = raw_handle.read()
@@ -223,11 +223,10 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"'{path}' line {line_no}: not UTF-8 text ({exc.reason})") from None
     with io.StringIO(text, newline="") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"'{path}' is empty (header row required)") from None
+        rows = _csv_rows(csv.reader(handle, delimiter=schema.delimiter), path)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"'{path}' is empty (header row required)")
         cols = {c.strip(): i for i, c in enumerate(header)}
         for col in (schema.id_column, schema.value_column):
             if col not in cols:
@@ -235,33 +234,113 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
         has_time = schema.time_column is not None and schema.time_column in cols
         if schema.time_column is not None and schema.time_column not in cols and schema.time_column != "time":
             raise DataError(f"'{path}' has no column '{schema.time_column}' (header: {header})")
-        id_i = cols[schema.id_column]
-        val_i = cols[schema.value_column]
-        time_i = cols[schema.time_column] if has_time else None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= max(id_i, val_i, time_i or 0):
-                raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            raw = row[val_i].strip()
+        columns = (cols[schema.id_column], cols[schema.value_column],
+                   cols[schema.time_column] if has_time else None)
+        series = _column_pass(raw, text, columns, schema.delimiter)
+        if series is None:
+            series = _row_loop(rows, columns, len(header), path)
+    return TimeSeriesDataset(series=series, name=name or str(path))
+
+
+def _csv_rows(reader, path):
+    """The reader's rows, with a malformed row raised as a DataError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"'{path}' line {reader.line_num}: {exc}") from None
+
+
+# The column pass sizes its id field by the longest line; longer lines take the row loop.
+_COLUMN_PASS_MAX_LINE = 256
+
+
+def _column_pass(raw: bytes, text: str, columns: tuple, delimiter: str) -> list[Series] | None:
+    """The data rows after the header in one ``np.loadtxt`` pass, or None.
+
+    It returns only what ``_row_loop`` returns for the same text, bit for bit:
+    loadtxt converts floats as ``float()`` does. It returns None, and leaves
+    every decision and message to the loop, for text with a quote, a NUL or a
+    lone CR; a line longer than the id field may hold; any row loadtxt
+    rejects or warns about (short, whitespace-only, ``,,``, a value or time
+    that is not a plain float); no rows; a non-finite value; a NaN time; two
+    equal times in one series (the loop judges duplicates by their text); and
+    two raw ids that strip to the same id.
+    """
+    id_i, val_i, time_i = columns
+    used = (id_i, val_i) if time_i is None else (id_i, val_i, time_i)
+    if (len(set(used)) < len(used) or delimiter in "\r\n" or '"' in text or "\x00" in text
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))):
+        return None
+    # Bytes per line bound characters per line, so no id is cut to the field width.
+    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    width = int(np.diff(breaks, prepend=-1, append=len(raw)).max())
+    if width > min(_COLUMN_PASS_MAX_LINE, csv.field_size_limit()):
+        return None
+    fields = [("id", f"U{width}"), ("value", np.float64)]
+    if time_i is not None:
+        fields.append(("time", np.float64))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(text), dtype=fields, delimiter=delimiter,
+                              comments=None, quotechar=None, skiprows=1, usecols=used,
+                              ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rows.size == 0 or not np.all(np.isfinite(rows["value"])):
+        return None
+    raw_ids, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct ids by first appearance
+    names = raw_ids.tolist()
+    ids = [names[j].strip() for j in order]
+    if len(set(ids)) < len(ids):
+        return None
+    which = np.argsort(order)[inverse]  # each row's series, numbered by first appearance
+    if time_i is None:
+        perm = np.argsort(which, kind="stable")
+    else:
+        times = rows["time"]
+        if np.any(np.isnan(times)):
+            return None
+        perm = np.lexsort((times, which))
+        sorted_times, sorted_which = times[perm], which[perm]
+        if np.any((sorted_times[1:] == sorted_times[:-1]) & (sorted_which[1:] == sorted_which[:-1])):
+            return None
+    bounds = np.cumsum(np.bincount(which, minlength=len(ids)))[:-1]
+    chunks = np.split(rows["value"][perm], bounds)
+    return [Series(id=sid, values=chunk) for sid, chunk in zip(ids, chunks)]
+
+
+def _row_loop(records, columns: tuple, n_fields: int, path) -> list[Series]:
+    """Parse the remaining rows one at a time: the definition of what load_csv accepts."""
+    id_i, val_i, time_i = columns
+    has_time = time_i is not None
+    rows_by_id: dict[str, list[tuple[str | None, float | None, float]]] = {}
+    textual: set[str] = set()
+    for line_no, row in enumerate(records, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) <= max(id_i, val_i, time_i or 0):
+            raise DataError(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
+        raw = row[val_i].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"line {line_no}: unparseable value '{raw}'") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {line_no}: non-finite value '{raw}'")
+        key = row[id_i].strip()
+        tkey = stamp = None
+        if has_time:
+            tkey = row[time_i].strip()
             try:
-                value = float(raw)
+                stamp = float(tkey)
             except ValueError:
-                raise DataError(f"line {line_no}: unparseable value '{raw}'") from None
-            if not math.isfinite(value):
-                raise DataError(f"line {line_no}: non-finite value '{raw}'")
-            key = row[id_i].strip()
-            tkey = stamp = None
-            if has_time:
-                tkey = row[time_i].strip()
-                try:
-                    stamp = float(tkey)
-                except ValueError:
-                    textual.add(key)  # a non-numeric time: the series sorts by text
-                else:
-                    if math.isnan(stamp):
-                        raise DataError(f"line {line_no}: non-finite time '{tkey}'")
-            rows_by_id.setdefault(key, []).append((tkey, stamp, value))
+                textual.add(key)  # a non-numeric time: the series sorts by text
+            else:
+                if math.isnan(stamp):
+                    raise DataError(f"line {line_no}: non-finite time '{tkey}'")
+        rows_by_id.setdefault(key, []).append((tkey, stamp, value))
 
     if not rows_by_id:
         raise DataError(f"'{path}' holds no data rows")
@@ -277,7 +356,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
         else:
             values = [v for _, _, v in rows]
         series.append(Series(id=sid, values=np.array(values, dtype=np.float64)))
-    return TimeSeriesDataset(series=series, name=name or str(path))
+    return series
 
 
 def save_dataset_csv(dataset: TimeSeriesDataset, path) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DmidasError, TrainingError
 from .training import child_seed, parallel_map
 
 
@@ -117,8 +117,8 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
 
     ``objective(config, trial_seed)`` returns the validation MAE for one
     config; the per-trial seed is derived deterministically from the search
-    seed. Objective failures mark the trial failed and the search continues;
-    ties go to the earliest trial.
+    seed. An objective's ``DmidasError`` marks the trial failed and the search
+    continues; any other exception propagates. Ties go to the earliest trial.
     """
     if budget < 1:
         raise ConfigError(f"search budget must be >= 1, got {budget}")
@@ -134,7 +134,7 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
         try:
             val = float(objective(config, trial_seed))
             status = "ok"
-        except Exception as exc:
+        except DmidasError as exc:
             val = None
             status = f"failed: {exc}"
         return Trial(index=index, config=config, val_mae=val, seed=trial_seed,
@@ -147,7 +147,8 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
         if t.status == "ok" and (best is None or t.val_mae < best.val_mae):
             best = t
     if best is None:
-        raise TrainingError("all search trials failed")
+        raise TrainingError(f"all {len(trials)} search trials failed; "
+                            f"trial 0 {trials[0].status}")
     return SearchResult(best=best, trials=trials)
 
 

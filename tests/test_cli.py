@@ -549,6 +549,19 @@ class TestForecastAndDecompose:
         assert "member_0.npz" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_over_the_csv_limit_exit_two(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        wide = tmp_path / "wide.csv"
+        wide.write_text(open(data).read() + "x" * 200_000 + ",0,1\n")
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", str(wide), "--config", config, "--checkpoints",
+                     str(run / "checkpoints"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "wide.csv' line 242: field larger" in err
+        assert not out.exists()
+
     def test_npy_file_as_checkpoint_exits_one(self, workspace, capsys):
         tmp_path, config, data = workspace
         run = tmp_path / "run"
@@ -638,6 +651,18 @@ class TestSearch:
                      "--out", str(run)]) == 0
         rows = (run / "history" / "member_0.csv").read_text().strip().splitlines()[1:]
         assert min(float(r.split(",")[2]) for r in rows) == best["val_mae"]
+
+    def test_every_trial_failing_names_the_cause(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        bad = tmp_path / "bad.ini"
+        bad.write_text(open(config).read().replace("base_ratio = 0.5",
+                                                   "base_ratio = 0.5\npooling_schedule = 30"))
+        code = main(["search", data, "--config", str(bad), "--budget", "2",
+                     "--out", str(tmp_path / "s")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "all 2 search trials failed" in err
+        assert "pooling kernel 30 exceeds input length 24" in err
 
     def test_budget_zero_exit_one(self, workspace):
         tmp_path, config, data = workspace

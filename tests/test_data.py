@@ -2,10 +2,15 @@
 
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmidas import data
 from dmidas.data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid,
                          SyntheticSpec, TimeSeriesDataset, gaussian_noise,
                          generate_synthetic, load_csv, load_decomposition_csv,
@@ -203,6 +208,143 @@ class TestCsvLoading:
         save_dataset_csv(once, p2)
         twice = load_csv(p2)
         assert np.array_equal(once.series[0].values, twice.series[0].values)
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, "id,time,value\na,0,1\n" + "x" * 200_000 + ",1,2\n",
+                          name="wide.csv")
+        with pytest.raises(DataError, match=r"wide\.csv' line 3: field larger than field limit"):
+            load_csv(path)
+
+    def test_multi_series_roundtrip_takes_the_column_pass(self, tmp_path):
+        rng = np.random.default_rng(21)
+        original = TimeSeriesDataset(series=[Series(id=f"s{k}", values=rng.normal(size=40 + k))
+                                             for k in range(3)])
+        path = tmp_path / "round.csv"
+        save_dataset_csv(original, path)
+        with mock.patch.object(data, "_row_loop", side_effect=AssertionError("row loop ran")):
+            loaded = load_csv(path)
+        assert loaded.ids() == original.ids()
+        for s in original:
+            assert loaded.get(s.id).values.tobytes() == s.values.tobytes()
+
+
+def parse_outcome(path, schema, row_loop_only):
+    """What load_csv gives: ids with value bits, or the DataError message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if row_loop_only:
+                with mock.patch.object(data, "_column_pass", return_value=None):
+                    ds = load_csv(path, schema)
+            else:
+                ds = load_csv(path, schema)
+        except DataError as exc:
+            outcome = "error", str(exc)
+        else:
+            outcome = "ok", [(s.id, s.values.tobytes()) for s in ds]
+    assert [str(w.message) for w in caught] == []
+    return outcome
+
+
+def assert_same_as_row_loop(path, schema=CsvSchema()):
+    assert parse_outcome(path, schema, False) == parse_outcome(path, schema, True)
+
+
+HEADER = "id,time,value\n"
+
+# Spellings float() takes; the column pass must decline the last four.
+SPELLINGS = ["0", "-0", "+0.0", "1.", ".5", " 1e3", "1e3 ", "1E-2", "inf", "-inf", "Infinity",
+             "1e999", "\x852", "nan", "1_0", "\u0661", "\u0660.5"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A multi-series CSV with numbers in spellings float() takes, rows in any order."""
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.floats(-1e6, 1e6).map(lambda v: f"{v:.6e}"),
+                       st.integers(-10 ** 6, 10 ** 6).map(str),
+                       st.sampled_from(SPELLINGS))
+    rows = draw(st.lists(st.tuples(st.sampled_from(["a", "b", " a", "b ", "c1", "\x85d"]),
+                                   number, number), max_size=25))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(["id,time,value"] + [",".join(r) for r in rows]) + newline
+
+EDGE_TEXTS = {
+    "crlf": "id,time,value\r\na,1,2\r\na,0,1\r\nb,0,3\r\n",
+    "lone_cr": "id,time,value\ra,1,2\ra,0,1\r",
+    "cr_inside_a_line": HEADER + "a,0,1\rb,0,2\n",
+    "cr_ending_the_header": "id,time,value\ra,0,1\nb,0,2\n",
+    "extra_trailing_field": HEADER + "a,0,1,x\na,1,2\n",
+    "short_row": HEADER + "a,0,1\na,1\n",
+    "blank_line": HEADER + "a,0,1\n\na,1,2\n",
+    "only_blank_lines": HEADER + "\n\n",
+    "whitespace_only_line": HEADER + "a,0,1\n   \na,1,2\n",
+    "empty_fields_line": HEADER + "a,0,1\n,,\na,1,2\n",
+    "padded_id_beside_plain": HEADER + " a ,0,1\na,1,2\n",
+    "ids_padded_alike": HEADER + " a,0,1\nb,0,5\n a,1,2\n",
+    "one_and_one_point_zero": HEADER + "a,1,1\na,1.0,2\na,0,3\n",
+    "duplicate_time_text": HEADER + "a,0,1\na,0,2\n",
+    "minus_zero_and_zero_times": HEADER + "a,-0,1\na,0,2\n",
+    "infinite_times": HEADER + "a,inf,3\na,-inf,1\na,0,2\n",
+    "nan_time": HEADER + "a,1,1\na,nan,2\n",
+    "nan_value": HEADER + "a,0,nan\n",
+    "infinite_value": HEADER + "a,0,1e999\n",
+    "nul_in_id": HEADER + "a\x00,0,1\na,1,2\n",
+    "nul_in_value": HEADER + "a,0,1\x00\n",
+    "next_line_char": HEADER + "a\x85,0,1\na,1,\x852\n",
+    "form_feed": HEADER + "a,0,1\x0c\nb\x0c,0,2\n",
+    "space_before_exponent_value": HEADER + "a,0, 1e3\na,1,2 \n",
+    "underscore_digits": HEADER + "a,0,1_0\na,1_1,2\n",
+    "arabic_digits": HEADER + "a,0,\u0661\na,\u0662,2\n",
+    "minus_zero_value": HEADER + "a,0,-0\na,1,+0.0\n",
+    "spelled_floats": HEADER + "a,1.,infinity\n",
+    "spelled_finite": HEADER + "a,.5,1.\na,+2,-.25\na,1E1,3e-2\n",
+    "hex_value": HEADER + "a,0,0x10\n",
+    "text_times": HEADER + "a,2024-01-02,2\na,2024-01-01,1\nb,1,1\n",
+    "comment_char": HEADER + "#a,0,1\n#a,1,2\n",
+    "header_only": HEADER,
+    "empty_file": "",
+    "long_id": HEADER + "a" * 300 + ",0,1\nb,0,2\n",
+    "many_series_interleaved": HEADER + "".join(f"s{k % 3},{9 - k},{k}\n" for k in range(10)),
+    "quoted_id": 'id,time,value\n"a",1,2\nb,0,1\n',
+    "quoted_id_holding_delimiter": 'id,time,value\n"a,b",1,2\n"a,b",0,1\n',
+    "quoted_last_id_holding_delimiter": 'value,id\n1,"a,b"\n2,a\n',
+    "quoted_value": 'id,time,value\na,0,"1.5"\n',
+    "time_last_in_header": "value,id,time\n1,a,1\n2,a,0\n",
+}
+
+
+class TestColumnPassMatchesRowLoop:
+    @pytest.mark.parametrize("name", sorted(EDGE_TEXTS))
+    def test_edge_text(self, tmp_path, name):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(EDGE_TEXTS[name].encode("utf-8"))
+        assert_same_as_row_loop(path)
+
+    @pytest.mark.parametrize("text, schema", [
+        ("id;time;value\na;1;1.5\nb;0;2\na;0;3\n", CsvSchema(delimiter=";")),
+        ("id\ttime\tvalue\na\t1\t1.5\na\t0\t 2\n", CsvSchema(delimiter="\t")),
+        ("id time value\na 1 1.5\na 0 2\n", CsvSchema(delimiter=" ")),
+        ("id,value\na,3\nb,1\na,2\n", CsvSchema()),
+        ("id,value\na,3\nb,1\na,2\n", CsvSchema(time_column=None)),
+        ("id,value\n" + "".join(f"s{k % 3},{k}\n" for k in range(200)), CsvSchema()),
+        ("id,t,value,time\na,2,1,0\na,1,2,0\n", CsvSchema(time_column="t")),
+        ("id,time,value\na,1,1\n", CsvSchema(time_column="t")),
+        ("id,time,value\n1,1,1\n2,0,2\n", CsvSchema(id_column="id", value_column="id")),
+    ], ids=["semicolon", "tab", "space", "no_time_column", "time_column_none",
+            "no_time_many_rows", "custom_time_column", "missing_custom_time_column",
+            "id_column_is_value_column"])
+    def test_schema(self, tmp_path, text, schema):
+        path = tmp_path / "schema.csv"
+        path.write_text(text, encoding="utf-8")
+        assert_same_as_row_loop(path, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts())
+    def test_random_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("prop") / "random.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_as_row_loop(path)
 
 
 class TestExport:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dmidas.errors import ConfigError, TrainingError
+from dmidas.errors import ConfigError, DataError, TrainingError
 from dmidas.search import (Choice, IntRange, LogUniform, SearchSpace,
                            default_search_space, random_search, sample_config,
                            write_trial_log)
@@ -83,7 +83,7 @@ class TestRandomSearch:
         def objective(cfg, seed):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise ValueError("boom")
+                raise TrainingError("boom")
             return float(calls["n"])
 
         result = random_search(self.space(), 3, objective, seed=5)
@@ -93,10 +93,19 @@ class TestRandomSearch:
 
     def test_all_failed_raises(self):
         def objective(cfg, seed):
-            raise ValueError("always")
+            raise DataError("always")
 
-        with pytest.raises(TrainingError):
+        with pytest.raises(TrainingError, match=r"^all 3 search trials failed; "
+                                                r"trial 0 failed: always$"):
             random_search(self.space(), 3, objective, seed=6)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_outside_the_package_propagates(self, jobs):
+        def objective(cfg, seed):
+            raise ValueError("a bug")
+
+        with pytest.raises(ValueError, match="a bug"):
+            random_search(self.space(), 3, objective, seed=6, jobs=jobs)
 
     def test_best_is_min_over_completed(self):
         result = random_search(self.space(), 20, lambda cfg, seed: cfg["x"], seed=7)
