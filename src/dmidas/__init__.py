@@ -9,9 +9,9 @@ from .errors import (ConfigError, DataError, DmidasError, NumericsError,
                      ShapeError, TrainingError)
 from .params import OptimizerState, Param, ParameterStore, adam_step, l1_penalty
 from .blocks import (BlockConfig, BlockOutput, PoolSpec, generic_basis,
-                     harmonic_basis, midas_basis, polynomial_basis)
+                     harmonic_basis, polynomial_basis)
 from .model import (ForecastBundle, MlpConfig, ModelConfig, StackConfig,
-                    build_any, build_mlp_baseline, build_model, count_parameters,
+                    build_any, build_model, count_parameters,
                     expressivity_schedule, generic_twin, load_checkpoint,
                     save_checkpoint)
 from .data import (CsvSchema, GaussianNoise, LinearTrend, Series, Sinusoid,
@@ -25,7 +25,6 @@ from .training import (EnsembleConfig, TrainConfig, TrainResult, Window,
 from .metrics import (BenchmarkProtocol, MetricsReport, ModelSpec, mae,
                       relative_improvement, render_table, rmse, run_benchmark,
                       score_windows, seasonal_naive_forecast)
-from .search import (Choice, IntRange, LogUniform, SearchSpace, Trial,
-                     default_search_space, random_search, sample_config)
+from .search import Trial, random_search, sample_config
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ from .engine import GradientTape, interp_upsample, project
 from .errors import ConfigError
 from .params import ParameterStore, register_affine
 
-BASIS_KINDS = ("generic", "polynomial", "harmonic", "midas")
-
 
 def knot_count(ratio: float, n: int) -> int:
     """ceil(ratio * n) with a guard against float representation drift."""
@@ -68,8 +66,8 @@ class BlockConfig:
     n_harmonics: int = 4
 
     def __post_init__(self):
-        if self.basis not in BASIS_KINDS:
-            raise ConfigError(f"unknown basis kind '{self.basis}', expected one of {BASIS_KINDS}")
+        if self.basis not in BASES:
+            raise ConfigError(f"unknown basis kind '{self.basis}', expected one of {tuple(BASES)}")
         if self.input_size < 1 or self.horizon < 1:
             raise ConfigError(f"input_size and horizon must be >= 1, "
                               f"got {self.input_size}, {self.horizon}")
@@ -140,9 +138,9 @@ def harmonic_matrix(n_harmonics: int, n: int) -> np.ndarray:
     return m
 
 
-def generic_basis(theta_f, theta_b):
-    """Pass-through: coefficients are the forecast and backcast themselves."""
-    return theta_f, theta_b
+def generic_basis(theta, n: int, tape: GradientTape | None = None):
+    """Pass-through: the n coefficients are the series themselves."""
+    return theta
 
 
 def polynomial_basis(theta, n: int, tape: GradientTape | None = None):
@@ -159,12 +157,10 @@ def harmonic_basis(theta, n: int, tape: GradientTape | None = None):
     return project(theta, harmonic_matrix(size // 2, n), tape)
 
 
-def midas_basis(theta_f, theta_b, horizon: int, input_size: int,
-                tape: GradientTape | None = None):
-    """Upsample low-resolution coefficients to the full horizon and input window."""
-    forecast = interp_upsample(theta_f, horizon, tape)
-    backcast = interp_upsample(theta_b, input_size, tape)
-    return forecast, backcast
+# Every basis maps (theta, n, tape) to n steps: the horizon for theta_f, the
+# input window for theta_b.
+BASES = {"generic": generic_basis, "polynomial": polynomial_basis,
+         "harmonic": harmonic_basis, "midas": interp_upsample}
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +207,8 @@ class Block:
         theta_b = (engine.affine(h, store[f"{self.prefix}.theta_b.weight"],
                                  store[f"{self.prefix}.theta_b.bias"], tape)
                    if backcast else None)
-        if cfg.basis == "generic":
-            forecast, back = generic_basis(theta_f, theta_b)
-            return BlockOutput(backcast=back, forecast=forecast)
-        basis = {"polynomial": polynomial_basis, "harmonic": harmonic_basis,
-                 "midas": interp_upsample}[cfg.basis]
-        forecast = basis(theta_f, cfg.horizon, tape)
+        basis = BASES[cfg.basis]
+        forecast = basis(theta_f, cfg.horizon, tape)  # theta_f first: the tape's order
         return BlockOutput(backcast=basis(theta_b, cfg.input_size, tape) if backcast else None,
                            forecast=forecast)
 

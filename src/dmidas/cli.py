@@ -27,7 +27,6 @@ from . import search as search_mod
 from .errors import ConfigError, DataError, DmidasError, NumericsError, TrainingError
 from .model import (build_any, count_parameters, generic_twin, load_checkpoint,
                     save_checkpoint)
-from .search import default_search_space
 from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
                        ensemble_forecast, ensemble_forecast_batch, prepared_windows,
                        split_tail, train, train_ensemble, write_history_csv)
@@ -349,13 +348,19 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _member_order(path: Path) -> tuple:
+    """member_<k>.npz sorts by k, as ``train`` numbered it; other names follow by text."""
+    k = path.stem.removeprefix("member_")
+    return (0, int(k), "") if k.isdecimal() else (1, 0, path.name)
+
+
 def _load_members(checkpoint_dir) -> list:
     directory = Path(checkpoint_dir)
     if directory.is_file():
         return [load_checkpoint(directory)]
     if not directory.is_dir():
         raise DataError(f"checkpoint path '{directory}' does not exist")
-    files = sorted(directory.glob("member_*.npz"))
+    files = sorted(directory.glob("member_*.npz"), key=_member_order)
     if not files:
         raise DataError(f"no member_*.npz checkpoints under '{directory}'")
     return [load_checkpoint(f) for f in files]
@@ -458,8 +463,7 @@ def cmd_search(args) -> int:
     budget = args.budget if args.budget is not None else config.value("search", "budget")
     dataset = _load_dataset(args, config)
     objective = search_objective(config, dataset)
-    result = search_mod.random_search(default_search_space(), budget, objective,
-                                      seed=config.value("run", "seed"),
+    result = search_mod.random_search(budget, objective, seed=config.value("run", "seed"),
                                       jobs=config.value("run", "jobs"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

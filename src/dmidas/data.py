@@ -8,6 +8,7 @@ library RNG.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -215,7 +216,8 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     """
     try:
         with open(path, "rb") as raw_handle:
-            raw = raw_handle.read()
+            # A byte-order mark, as Excel's "CSV UTF-8" writes, is not part of the header.
+            raw = raw_handle.read().removeprefix(codecs.BOM_UTF8)
         text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot open '{path}': {exc}") from None
@@ -224,7 +226,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
         raise DataError(f"'{path}' line {line_no}: not UTF-8 text ({exc.reason})") from None
     with io.StringIO(text, newline="") as handle:
         rows = _csv_rows(csv.reader(handle, delimiter=schema.delimiter), path)
-        header = next(rows, None)
+        _, header = next(rows, (0, None))
         if header is None:
             raise DataError(f"'{path}' is empty (header row required)")
         cols = {c.strip(): i for i, c in enumerate(header)}
@@ -243,9 +245,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
 
 
 def _csv_rows(reader, path):
-    """The reader's rows, with a malformed row raised as a DataError naming its line."""
+    """(line number, row) for each of the reader's rows, numbered by the line the
+    row ends on; a malformed row is raised as a DataError naming its line."""
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"'{path}' line {reader.line_num}: {exc}") from None
 
@@ -312,12 +316,13 @@ def _column_pass(raw: bytes, text: str, columns: tuple, delimiter: str) -> list[
 
 
 def _row_loop(records, columns: tuple, n_fields: int, path) -> list[Series]:
-    """Parse the remaining rows one at a time: the definition of what load_csv accepts."""
+    """Parse the remaining (line number, row) records one at a time: the
+    definition of what load_csv accepts."""
     id_i, val_i, time_i = columns
     has_time = time_i is not None
     rows_by_id: dict[str, list[tuple[str | None, float | None, float]]] = {}
     textual: set[str] = set()
-    for line_no, row in enumerate(records, start=2):
+    for line_no, row in records:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) <= max(id_i, val_i, time_i or 0):

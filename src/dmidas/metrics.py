@@ -134,7 +134,6 @@ class MetricsReport:
     """Table-shaped accuracy results keyed by (dataset, horizon, model)."""
 
     entries: list[MetricEntry]
-    relative_improvements: dict = field(default_factory=dict)
 
     def __post_init__(self):
         keys = [(e.dataset, e.horizon, e.model) for e in self.entries]
@@ -185,7 +184,6 @@ def relative_improvement(report: MetricsReport, baseline_model: str) -> dict:
                 "mae": 100.0 * (base.mae - e.mae) / base.mae if base.mae else 0.0,
                 "rmse": 100.0 * (base.rmse - e.rmse) / base.rmse if base.rmse else 0.0,
             }
-    report.relative_improvements = improvements
     return improvements
 
 

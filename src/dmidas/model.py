@@ -253,11 +253,6 @@ class MlpForecaster:
         return forecast, ([forecast] if collect else []), []
 
 
-def build_mlp_baseline(input_size: int, horizon: int, widths, seed: int) -> MlpForecaster:
-    """A parsimonious fully-connected multi-horizon baseline."""
-    return build_any(MlpConfig(input_size, horizon, tuple(widths)), seed)
-
-
 def _assemble(config, init):
     """The model of ``config``, its parameters valued by ``init`` (see
     ``params.register_affine``) in registration order."""

@@ -1,4 +1,4 @@
-"""Seeded random search over a declared hyperparameter space."""
+"""Seeded random search over a fixed hyperparameter draw."""
 
 from __future__ import annotations
 
@@ -13,80 +13,26 @@ from .errors import ConfigError, DmidasError, TrainingError
 from .training import child_seed, parallel_map
 
 
-@dataclass(frozen=True)
-class Choice:
-    name: str
-    options: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "options", tuple(self.options))
-        if not self.options:
-            raise ConfigError(f"choice dimension '{self.name}' has no options")
-
-    def sample(self, rng: np.random.Generator):
-        return self.options[int(rng.integers(0, len(self.options)))]
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-@dataclass(frozen=True)
-class LogUniform:
-    name: str
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0 < self.lo < self.hi):
-            raise ConfigError(f"loguniform '{self.name}' needs 0 < lo < hi, "
-                              f"got ({self.lo}, {self.hi})")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(math.exp(rng.uniform(math.log(self.lo), math.log(self.hi))))
+def _choice(rng: np.random.Generator, options: tuple):
+    return options[int(rng.integers(0, len(options)))]
 
 
-@dataclass(frozen=True)
-class IntRange:
-    name: str
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ConfigError(f"int_range '{self.name}' needs lo < hi, "
-                              f"got ({self.lo}, {self.hi})")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.lo, self.hi + 1))
-
-
-@dataclass(frozen=True)
-class SearchSpace:
-    dimensions: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
-        names = [d.name for d in self.dimensions]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate dimension names in search space: {names}")
-
-
-def default_search_space() -> SearchSpace:
-    """Learning rate, expressivity base, width, depth and L1 strength.
+def sample_config(rng: np.random.Generator) -> dict:
+    """One draw of learning rate, expressivity base, width, depth and L1 strength.
 
     The L1 axis pairs a magnitude with an on/off switch so that exactly-zero
     regularization stays reachable; resolve with l1_lambda * l1_enabled.
     """
-    return SearchSpace(dimensions=(
-        LogUniform("lr", 1e-4, 1e-2),
-        Choice("base_ratio", (0.25, 0.5, 0.75)),
-        Choice("mlp_width", (128, 256, 512)),
-        IntRange("blocks_per_stack", 1, 3),
-        LogUniform("l1_lambda", 1e-6, 1e-2),
-        Choice("l1_enabled", (0, 1)),
-    ))
-
-
-def sample_config(space: SearchSpace, rng: np.random.Generator) -> dict:
-    """One independent draw per dimension."""
-    return {dim.name: dim.sample(rng) for dim in space.dimensions}
+    return {"lr": _log_uniform(rng, 1e-4, 1e-2),
+            "base_ratio": _choice(rng, (0.25, 0.5, 0.75)),
+            "mlp_width": _choice(rng, (128, 256, 512)),
+            "blocks_per_stack": int(rng.integers(1, 4)),
+            "l1_lambda": _log_uniform(rng, 1e-6, 1e-2),
+            "l1_enabled": _choice(rng, (0, 1))}
 
 
 @dataclass
@@ -111,9 +57,8 @@ class SearchResult:
     trials: list[Trial]
 
 
-def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
-                  jobs: int = 1) -> SearchResult:
-    """Evaluate ``budget`` sampled configs; return the lowest validation MAE.
+def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> SearchResult:
+    """Evaluate ``budget`` configs from ``sample_config``; return the lowest validation MAE.
 
     ``objective(config, trial_seed)`` returns the validation MAE for one
     config; the per-trial seed is derived deterministically from the search
@@ -125,7 +70,7 @@ def random_search(space: SearchSpace, budget: int, objective, seed: int = 0,
     rng = np.random.default_rng(seed)
     drawn = []
     for index in range(budget):
-        config = sample_config(space, rng)
+        config = sample_config(rng)
         drawn.append((index, config, child_seed(seed, index)))
 
     def run_trial(args) -> Trial:

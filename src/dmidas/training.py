@@ -7,6 +7,7 @@ import ctypes
 import itertools
 import os
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,9 +64,10 @@ class TrainConfig:
     seed: int = 0
     loss_kind: str = "mae"
     normalization: str = "per-series-median"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # Adam's constants (Kingma & Ba's defaults); no run sets them.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0):

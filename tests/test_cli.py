@@ -11,8 +11,8 @@ import pytest
 
 import dmidas
 from dmidas import metrics, training
-from dmidas.cli import (default_run_config, load_run_config, main, search_objective,
-                         write_resolved_config)
+from dmidas.cli import (_load_members, default_run_config, load_run_config, main,
+                         search_objective, write_resolved_config)
 from dmidas.data import load_csv, load_decomposition_csv
 
 TINY_SPEC = {
@@ -472,6 +472,18 @@ class TestEvaluate:
 
 
 class TestForecastAndDecompose:
+    def test_members_load_in_member_order(self, tmp_path):
+        members = [dmidas.build_any(dmidas.MlpConfig(6, 3, (4,)), seed=k) for k in range(11)]
+        for k, member in enumerate(members):
+            dmidas.save_checkpoint(member, tmp_path / f"member_{k}.npz")
+        loaded = _load_members(tmp_path)  # member_10 must not come before member_2
+        for member, back in zip(members, loaded, strict=True):
+            for name, p in member.params.items():
+                assert back.params[name].value.tobytes() == p.value.tobytes()
+        x = np.random.default_rng(0).normal(size=(20, 6))
+        assert (training.ensemble_forecast_batch(loaded, x).tobytes()
+                == training.ensemble_forecast_batch(members, x).tobytes())
+
     def test_forecast_file(self, workspace):
         tmp_path, config, data = workspace
         run = tmp_path / "run"

@@ -1,5 +1,6 @@
 """Synthetic generation, CSV ingestion and result export."""
 
+import codecs
 import json
 import math
 import warnings
@@ -162,6 +163,25 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
 
+    def test_line_numbers_count_the_lines_of_a_quoted_field(self, tmp_path):
+        path = self.write(tmp_path, 'id,time,value\n"a\nb",0,1\na,1,x\n')
+        with pytest.raises(DataError, match=r"^line 4: unparseable value 'x'$"):
+            load_csv(path)
+
+    def test_line_numbers_count_blank_and_quoted_lines(self, tmp_path):
+        path = self.write(tmp_path, 'id,time,value\n"a\nb",0,1\n\na,1\n')
+        with pytest.raises(DataError, match=r"^line 5: expected 3 fields, got 2$"):
+            load_csv(path)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"id,time,value\na,1,2.5\na,0,1.5\nb,0,3\n")
+        with mock.patch.object(data, "_row_loop", side_effect=AssertionError("row loop ran")):
+            ds = load_csv(path)
+        assert ds.ids() == ["a", "b"]
+        np.testing.assert_array_equal(ds.get("a").values, [1.5, 2.5])
+        assert parse_outcome(path, CsvSchema(), True) == parse_outcome(path, CsvSchema(), False)
+
     def test_missing_value_column(self, tmp_path):
         path = self.write(tmp_path, "id,time,price\na,0,1\n")
         with pytest.raises(DataError, match="value"):
@@ -311,6 +331,7 @@ EDGE_TEXTS = {
     "quoted_last_id_holding_delimiter": 'value,id\n1,"a,b"\n2,a\n',
     "quoted_value": 'id,time,value\na,0,"1.5"\n',
     "time_last_in_header": "value,id,time\n1,a,1\n2,a,0\n",
+    "byte_order_mark": "\ufeff" + HEADER + "a,1,2\na,0,1\n",
 }
 
 

@@ -1,5 +1,6 @@
 """Smoke-run the fast demos as scripts: each exits 0 in a scratch directory."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = ["01_autodiff_and_gradients.py", "02_interpolation_and_scaling.py",
-              "03_forecast_decomposition.py", "04_benchmark_harness.py"]
+              "03_forecast_decomposition.py", "04_benchmark_harness.py",
+              "05_random_search.py"]
 
 
 @pytest.mark.parametrize("demo", FAST_DEMOS)
@@ -24,3 +26,9 @@ def test_demo_runs(demo, tmp_path):
         assert (tmp_path / "decomposition.csv").is_file()
     if demo.startswith("04"):
         assert (tmp_path / "metrics.json").is_file()
+    if demo.startswith("05"):
+        trials = [json.loads(line) for line in
+                  (tmp_path / "trials.jsonl").read_text().splitlines()]
+        printed = [line for line in result.stdout.splitlines() if line.startswith("  trial ")]
+        assert [t["index"] for t in trials] == list(range(len(printed)))
+        assert trials

@@ -10,7 +10,7 @@ from dmidas.blocks import BlockConfig
 from dmidas.engine import GradientTape
 from dmidas.errors import ConfigError, DataError
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
-                          build_mlp_baseline, build_model, count_parameters,
+                          build_model, count_parameters,
                           expressivity_schedule, generic_twin, load_checkpoint,
                           model_config_from_dict, model_config_to_dict, save_checkpoint)
 
@@ -282,13 +282,13 @@ class TestParameterCounting:
 
 class TestMlpBaseline:
     def test_zero_parameters_zero_forecast(self):
-        model = build_mlp_baseline(8, 4, (6,), seed=0)
+        model = build_any(MlpConfig(8, 4, (6,)), seed=0)
         for p in model.params.params():
             p.value[...] = 0.0
         assert not model.forward(np.ones(8)).forecast.any()
 
     def test_identity_like_network_copies_positive_input(self):
-        model = build_mlp_baseline(4, 4, (4,), seed=0)
+        model = build_any(MlpConfig(4, 4, (4,)), seed=0)
         model.params["mlp0.weight"].value[...] = np.eye(4)
         model.params["mlp0.bias"].value[...] = 0.0
         model.params["out.weight"].value[...] = np.eye(4)
@@ -297,13 +297,13 @@ class TestMlpBaseline:
         np.testing.assert_array_equal(model.forward(y).forecast, y)
 
     def test_parameter_count_closed_form(self):
-        model = build_mlp_baseline(10, 7, (5, 3), seed=0)
+        model = build_any(MlpConfig(10, 7, (5, 3)), seed=0)
         expected = (10 * 5 + 5) + (5 * 3 + 3) + (3 * 7 + 7)
         assert model.params.n_parameters() == expected
 
     def test_empty_widths_rejected(self):
         with pytest.raises(ConfigError):
-            build_mlp_baseline(4, 4, (), seed=0)
+            build_any(MlpConfig(4, 4, ()), seed=0)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigError, match=r"positive hidden widths, got \(4, 0\)"):
@@ -382,7 +382,7 @@ class TestCheckpoints:
                                       restored.forward(y).forecast)
 
     @pytest.mark.parametrize("build", [lambda: midas_model(seed=23)[1],
-                                       lambda: build_mlp_baseline(6, 3, (4,), seed=2)])
+                                       lambda: build_any(MlpConfig(6, 3, (4,)), seed=2)])
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch, build):
         model = build()
         path = tmp_path / "model.npz"
@@ -399,7 +399,7 @@ class TestCheckpoints:
             assert restored.params[name].kind == p.kind
 
     def test_roundtrip_mlp(self, tmp_path):
-        model = build_mlp_baseline(6, 3, (4,), seed=2)
+        model = build_any(MlpConfig(6, 3, (4,)), seed=2)
         path = tmp_path / "mlp.npz"
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
