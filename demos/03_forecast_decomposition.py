@@ -42,7 +42,7 @@ result = dm.train(model, train_w, val_w,
 print(f"best validation MAE: {result.best_val_mae:.4f} (iteration {result.best_iteration})")
 
 window = test_w[-1]
-bundle = model.decompose(window.input)
+bundle = model.forward(window.input)
 print()
 print("per-block decomposition of the last test window:")
 gap = np.max(np.abs(np.sum(bundle.components, axis=0) - bundle.forecast))

@@ -414,7 +414,7 @@ def cmd_decompose(args) -> int:
     model = load_checkpoint(args.checkpoint)
     window = _select_test_window(config, dataset, model.input_size, model.horizon,
                                  args.window, args.series)
-    bundle = model.decompose(window.input)
+    bundle = model.forward(window.input)
     # Components are rescaled to series units; the per-window offset (if the
     # normalization uses one) is not distributable across blocks and is left out,
     # so the file's component sum always equals its forecast column.

@@ -411,18 +411,3 @@ def write_metrics_json(report, path) -> None:
             handle.write(text + "\n")
     except OSError as exc:
         raise DataError(f"cannot write '{path}': {exc}") from None
-
-
-def load_decomposition_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read back an exported decomposition: (forecast, components)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        k = len(header) - 2
-        fc = []
-        comps: list[list[float]] = [[] for _ in range(k)]
-        for row in reader:
-            fc.append(float(row[1]))
-            for i in range(k):
-                comps[i].append(float(row[2 + i]))
-    return np.array(fc), [np.array(c) for c in comps]

@@ -48,9 +48,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.value.ndim
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -191,14 +188,6 @@ def relu(x, tape: GradientTape | None = None):
     return _emit(out, (x,), backward, tape, "relu", kink_margin=margin)
 
 
-@lru_cache(maxsize=None)
-def _pool_indices(length: int, kernel: int, stride: int) -> Array:
-    starts = np.arange((length - kernel) // stride + 1) * stride
-    idx = starts[:, None] + np.arange(kernel)[None, :]
-    idx.setflags(write=False)
-    return idx
-
-
 def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
            tape: GradientTape | None = None):
     """Downsample the last axis with avg, max, or plain stride sampling.
@@ -219,7 +208,8 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
     if kernel > length:
         raise ConfigError(f"pooling kernel {kernel} exceeds input length {length}")
     # Offset j of every window is the strided slice j, j+stride, ...; the
-    # forward reduces those slices in order and the backward scatters to them.
+    # forward reduces those slices in order, max mode stacks them into its
+    # (..., n_out, kernel) windows, and the backward scatters to them.
     span = stride * ((length - kernel) // stride) + 1
     taps = [xv[..., j:j + span:stride] for j in range(kernel)]
     # A contiguous copy: BLAS rounds a strided operand differently in the next affine.
@@ -232,18 +222,14 @@ def pool1d(x, kernel: int, stride: int | None = None, mode: str = "avg",
     elif mode == "max":
         for tap in taps[1:]:
             np.maximum(out, tap, out=out)
-
-        def windows():
-            return xv[..., _pool_indices(length, kernel, stride)]
-
         if kernel >= 2:
             def margin():
-                part = np.partition(windows(), kernel - 2, axis=-1)
+                part = np.partition(np.stack(taps, axis=-1), kernel - 2, axis=-1)
                 return float(np.min(part[..., -1] - part[..., -2]))
 
     def backward(g):
         gx = np.zeros_like(xv)
-        argmax = windows().argmax(axis=-1) if mode == "max" else None
+        argmax = np.stack(taps, axis=-1).argmax(axis=-1) if mode == "max" else None
         share = g / kernel if mode == "avg" else g
         for j in range(1 if mode == "stride" else kernel):
             if mode == "max":
@@ -396,16 +382,6 @@ def tsum(x, tape: GradientTape | None = None):
         return (np.broadcast_to(g, xv.shape).copy(),)
 
     return _emit(xv.sum(), (x,), backward, tape, "tsum")
-
-
-def scale(x, c: float, tape: GradientTape | None = None):
-    """Multiply by a python constant."""
-    xv = value_of(x)
-
-    def backward(g):
-        return (g * c,)
-
-    return _emit(xv * c, (x,), backward, tape, "scale")
 
 
 # ---------------------------------------------------------------------------

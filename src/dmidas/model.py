@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import uuid
 import zipfile
 from dataclasses import asdict, dataclass, replace
@@ -69,6 +70,7 @@ class ModelConfig:
         if self.ratio_schedule != "exponential" and not all(
                 0.0 < r <= 1.0 for r in self.ratio_schedule):
             raise ConfigError(f"per-block ratios {self.ratio_schedule} must lie in (0, 1]")
+        self._check_midas_ratios()
         if not isinstance(self.pooling_schedule, int):
             self._set_schedule("pooling_schedule", "auto", int)
 
@@ -83,6 +85,24 @@ class ModelConfig:
         if len(values) != self.total_blocks:
             raise ConfigError(f"{name} lists {len(values)} values for {self.total_blocks} blocks")
         object.__setattr__(self, name, values)
+
+    def _check_midas_ratios(self) -> None:
+        """Reject a midas block ratio below the smallest normal float: 1 / r, and
+        so the default pooling kernel, would overflow or divide by zero."""
+        tiny = sys.float_info.min
+        end = 0
+        for s in self.stacks:
+            start, end = end, end + s.n_blocks
+            if s.block_template.basis != "midas":
+                continue
+            if self.ratio_schedule == "exponential":
+                if self.base_ratio ** end < tiny:  # the stack's last, smallest ratio
+                    raise ConfigError(
+                        f"base_ratio = {self.base_ratio} over {end} blocks gives block {end} "
+                        f"a ratio below the smallest normal float {tiny:g}")
+            elif min(self.ratio_schedule[start:end]) < tiny:
+                raise ConfigError(f"ratio_schedule holds a midas block ratio below the "
+                                  f"smallest normal float {tiny:g}")
 
     @property
     def total_blocks(self) -> int:
@@ -199,10 +219,6 @@ class StackedForecaster:
             block_labels=self.block_labels(),
         )
 
-    def decompose(self, y_in) -> ForecastBundle:
-        """Alias of forward; the bundle already carries labeled components."""
-        return self.forward(y_in)
-
 
 def build_model(config: ModelConfig, seed: int) -> StackedForecaster:
     """Allocate and initialize all blocks; deterministic for a fixed seed."""
@@ -239,7 +255,6 @@ class MlpForecaster:
     input_size = StackedForecaster.input_size
     horizon = StackedForecaster.horizon
     forward = StackedForecaster.forward
-    decompose = StackedForecaster.decompose
 
     def block_labels(self) -> list[str]:
         return ["mlp"]
@@ -424,11 +439,26 @@ def load_checkpoint(path):
             raise ConfigError(f"unsupported checkpoint version {version!r}")
         config = model_config_from_dict(meta["config"])
         shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
+        if isinstance(config, ModelConfig):
+            # Counted before anything is built: a block count the arrays cannot
+            # hold would otherwise be assembled block by block.
+            blocks = sum(1 if s.shared_weights else s.n_blocks for s in config.stacks)
+            prefixes = {key[2:].rsplit(".", 2)[0] for key in arrays if key.startswith("p:")}
+            if blocks > len(prefixes):
+                raise ConfigError(f"checkpoint config has {blocks} blocks with their own "
+                                  f"parameters, but the file stores arrays for {len(prefixes)}")
 
         def stored(name, fan_in, shape):
-            # a stand-in only where the checks below reject the checkpoint
+            # each array is checked before it is used, so a bad file allocates nothing
+            if name not in shapes:
+                raise ConfigError(f"checkpoint is missing parameter '{name}' of its model")
             arr = arrays.get("p:" + name)
-            return arr if arr is not None and arr.shape == shape else np.zeros(shape)
+            if arr is None:
+                raise ConfigError(f"checkpoint parameter '{name}' has no array")
+            if arr.shape != shape or list(shape) != shapes[name]:
+                raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
+                                  f"expected {shape}")
+            return arr
 
         model = _assemble(config, stored)
     except ConfigError as exc:
@@ -437,16 +467,7 @@ def load_checkpoint(path):
         raise ConfigError(f"'{path}' has checkpoint metadata without key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
-    missing = [name for name in model.params.names() if name not in shapes]
-    if missing:
-        raise ConfigError(f"'{path}': checkpoint is missing parameter '{missing[0]}' of its model")
-    for name, shape in shapes.items():
+    for name in shapes:
         if name not in model.params:
             raise ConfigError(f"'{path}': checkpoint parameter '{name}' not present in model")
-        if "p:" + name not in arrays:
-            raise ConfigError(f"'{path}': checkpoint parameter '{name}' has no array")
-        arr = arrays["p:" + name]
-        if list(arr.shape) != shape or arr.shape != model.params[name].value.shape:
-            raise ConfigError(f"'{path}': checkpoint parameter '{name}' has shape {arr.shape}, "
-                              f"expected {model.params[name].value.shape}")
     return model

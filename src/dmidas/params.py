@@ -67,9 +67,6 @@ class ParameterStore:
         """Weight-kind parameters only (biases excluded)."""
         return [p for p in self._params.values() if p.kind == "weight"]
 
-    def n_parameters(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
@@ -136,6 +133,13 @@ class OptimizerState:
                    v={n: np.zeros_like(p.value) for n, p in store.items()})
 
 
+def _moment(moments: dict, name: str, like: np.ndarray) -> np.ndarray:
+    """``moments[name]``, created at zero only the first time ``name`` is seen."""
+    if name not in moments:
+        moments[name] = np.zeros_like(like)
+    return moments[name]
+
+
 def adam_step(store: ParameterStore, state: OptimizerState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
     """One bias-corrected Adam update in place; missing grads count as zero.
@@ -157,8 +161,7 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float = 1e-3,
     scratch = np.empty(max((p.value.size for p in store.params()), default=0))
     for name, p in store.items():
         s = scratch[:p.value.size].reshape(p.value.shape)
-        m = state.m.setdefault(name, np.zeros_like(p.value))
-        v = state.v.setdefault(name, np.zeros_like(p.value))
+        m, v = _moment(state.m, name, p.value), _moment(state.v, name, p.value)
         m *= beta1
         v *= beta2
         if p.grad is not None:

@@ -138,8 +138,6 @@ class SplitDataset:
     """Per-series tail splits plus window builders that respect the boundaries."""
 
     splits: list[SeriesSplit]
-    val_len: int
-    test_len: int
 
     def train_windows(self, input_size: int, horizon: int, stride: int = 1) -> list[Window]:
         out = []
@@ -181,7 +179,7 @@ def split_tail(dataset: TimeSeriesDataset, val_len: int, test_len: int) -> Split
                             f"{val_len} validation + {test_len} test points")
         splits.append(SeriesSplit(series=s, train_end=total - val_len - test_len,
                                   val_end=total - test_len))
-    return SplitDataset(splits=splits, val_len=val_len, test_len=test_len)
+    return SplitDataset(splits=splits)
 
 
 # ---------------------------------------------------------------------------

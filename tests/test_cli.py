@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import dmidas
 from dmidas import metrics, training
 from dmidas.cli import (_load_members, default_run_config, load_run_config, main,
                          search_objective, write_resolved_config)
-from dmidas.data import load_csv, load_decomposition_csv
+from dmidas.data import load_csv
 
 TINY_SPEC = {
     "name": "tiny",
@@ -180,6 +181,28 @@ RESOLVED_DEFAULTS = (
 )
 
 
+# midas schedules whose smallest block ratio underflows below the smallest normal float
+UNDERFLOWING_SCHEDULES = {
+    "1100-blocks": ("blocks_per_stack = 2", "blocks_per_stack = 1100"),
+    "600-stacks": ("stacks = 1", "stacks = 600"),
+    "tiny-base-ratio": ("base_ratio = 0.5", "base_ratio = 1e-300"),
+}
+
+
+def _underflowing(tmp_path, config, case) -> Path:
+    old, new = UNDERFLOWING_SCHEDULES[case]
+    text = open(config).read()
+    assert old in text
+    bad = tmp_path / "underflow.ini"
+    bad.write_text(text.replace(old, new, 1))
+    return bad
+
+
+def _assert_underflow_message(err: str) -> None:
+    assert err.startswith("configuration error: base_ratio = ") and err.count("\n") == 1
+    assert "smallest normal float" in err
+
+
 class TestRunConfig:
     def test_default_resolved_config_bytes(self, tmp_path):
         write_resolved_config(default_run_config(), tmp_path / "defaults.ini")
@@ -276,6 +299,17 @@ class TestTrain:
         for name in checkpoints:
             assert (out1 / "checkpoints" / name).read_bytes() == \
                 (out2 / "checkpoints" / name).read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(UNDERFLOWING_SCHEDULES))
+    def test_underflowing_midas_schedule_exits_one_before_training(
+            self, workspace, capsys, monkeypatch, case):
+        tmp_path, config, data = workspace
+        bad = _underflowing(tmp_path, config, case)
+        seen = _seen_jobs(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["train", data, "--config", str(bad), "--out", str(out)]) == 1
+        _assert_underflow_message(capsys.readouterr().err)
+        assert seen == [] and not out.exists()
 
     def test_missing_data_exit_two(self, workspace):
         tmp_path, config, _ = workspace
@@ -471,6 +505,17 @@ class TestEvaluate:
         assert "no test windows" in capsys.readouterr().err
 
 
+def _edit_checkpoint_config(ckpt, edit):
+    """Apply ``edit`` to a saved checkpoint's config dict in place, keeping its arrays."""
+    with np.load(ckpt) as npz:
+        meta = json.loads(bytes(npz["__meta__"]).decode())
+        arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+    edit(meta["config"])
+    with open(ckpt, "wb") as handle:
+        np.savez(handle, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
+
+
 class TestForecastAndDecompose:
     def test_members_load_in_member_order(self, tmp_path):
         members = [dmidas.build_any(dmidas.MlpConfig(6, 3, (4,)), seed=k) for k in range(11)]
@@ -505,7 +550,8 @@ class TestForecastAndDecompose:
                      "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert header == "t,forecast,component_1,component_2"
-        forecast, comps = load_decomposition_csv(out)
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        forecast, comps = table[:, 1], table[:, 2:].T
         assert np.max(np.abs(np.sum(comps, axis=0) - forecast)) < 1e-9
         # knot bounds: blocks have ratios 0.5 and 0.25 of horizon 8
         for comp, knots in zip(comps, (4, 2)):
@@ -593,19 +639,41 @@ class TestForecastAndDecompose:
         run = tmp_path / "run"
         main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
         ckpt = run / "checkpoints" / "member_0.npz"
-        with np.load(ckpt) as npz:
-            meta = json.loads(bytes(npz["__meta__"]).decode())
-            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
-        meta["config"][key] = value
-        with open(ckpt, "wb") as handle:
-            np.savez(handle, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                     **arrays)
+        _edit_checkpoint_config(ckpt, lambda config: config.update({key: value}))
         out = tmp_path / "fc.csv"
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
         assert "member_0.npz" in err and f"'{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "decompose"])
+    @pytest.mark.parametrize("kind", ["dmidas", "nbeats-g"])
+    def test_huge_block_count_in_checkpoint_exits_one_at_once(self, workspace, capsys,
+                                                              monkeypatch, command, kind):
+        import dmidas.model as model_mod
+
+        tmp_path, config, data = workspace
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(open(config).read().replace("kind = dmidas", f"kind = {kind}"))
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", str(cfg), "--out", str(run), "--seed", "6"]) == 0
+        ckpt = run / "checkpoints" / "member_0.npz"
+        _edit_checkpoint_config(ckpt, lambda config: config["stacks"][0].update(n_blocks=2 ** 63))
+
+        def no_assembly(*args):
+            raise AssertionError("the checkpoint's model was built")
+
+        monkeypatch.setattr(model_mod, "_assemble", no_assembly)
+        flag = "--checkpoints" if command == "forecast" else "--checkpoint"
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code = main([command, data, "--config", str(cfg), flag, str(ckpt), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: '{ckpt}': ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_window_selector_out_of_range(self, workspace):
@@ -693,6 +761,22 @@ class TestParamCount:
         assert "84 vs 288" in text
         assert "70.8% reduction" in text
         assert "geometric closed form" in text and "84" in text
+
+    @pytest.mark.parametrize("case", sorted(UNDERFLOWING_SCHEDULES))
+    def test_underflowing_midas_schedule_exits_one(self, workspace, capsys, case):
+        tmp_path, config, _ = workspace
+        bad = _underflowing(tmp_path, config, case)
+        assert main(["param-count", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        _assert_underflow_message(captured.err)
+        assert captured.out == ""
+
+    def test_generic_blocks_beyond_the_midas_underflow_stay_valid(self, tmp_path, capsys):
+        config = tmp_path / "pc.ini"
+        config.write_text("[model]\nkind = nbeats-g\ninput_size = 4\nhorizon = 2\n"
+                          "blocks_per_stack = 1100\nmlp_widths = 1\nbase_ratio = 0.5\n")
+        assert main(["param-count", "--config", str(config)]) == 0
+        assert "s0.b1099.theta_b.bias" in capsys.readouterr().out
 
     def test_ratio_one_zero_reduction(self, tmp_path, capsys):
         config = tmp_path / "pc.ini"

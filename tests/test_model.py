@@ -1,6 +1,7 @@
 """Stacked model: residual wiring, schedules, parameter accounting, checkpoints."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,33 @@ class TestSchedules:
         assert ModelConfig(stacks=cfg.stacks, input_size=24, horizon=8,
                            pooling_schedule=3).pooling_schedule == 3
 
+    @pytest.mark.parametrize("blocks, schedules, key", [
+        (1100, {"base_ratio": 0.5}, "base_ratio"),
+        (2, {"base_ratio": 1e-300}, "base_ratio"),
+        (2, {"ratio_schedule": [0.5, 5e-324]}, "ratio_schedule"),
+        (2, {"ratio_schedule": [0.5, 1e-310], "pooling_schedule": 2}, "ratio_schedule"),
+    ])
+    def test_midas_ratio_below_the_smallest_normal_float_rejected(self, blocks, schedules, key):
+        template = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        with pytest.raises(ConfigError, match=f"{key}.*smallest normal float"):
+            ModelConfig(stacks=(StackConfig(blocks, template),), input_size=24, horizon=8,
+                        **schedules)
+
+    def test_smallest_normal_ratio_builds(self):
+        template = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        cfg = ModelConfig(stacks=(StackConfig(2, template),), input_size=24, horizon=8,
+                          ratio_schedule=[0.5, sys.float_info.min])
+        assert [b.config.pooling.kernel for b in build_model(cfg, 0).blocks] == [2, 24]
+
+    def test_ratios_of_blocks_that_are_not_midas_are_not_checked(self):
+        midas = BlockConfig(basis="midas", input_size=24, horizon=8, mlp_widths=(4,))
+        generic = BlockConfig(basis="generic", input_size=24, horizon=8, mlp_widths=(4,))
+        ModelConfig(stacks=(StackConfig(1100, generic),), input_size=24, horizon=8,
+                    base_ratio=0.5)
+        cfg = ModelConfig(stacks=(StackConfig(2, midas), StackConfig(1100, generic)),
+                          input_size=24, horizon=8, base_ratio=0.5)
+        assert cfg.total_blocks == 1102
+
     def test_default_pooling_kernels_coarsen(self):
         cfg, model = midas_model(input_size=64, horizon=16, blocks=3, ratio=0.5)
         kernels = [b.config.pooling.kernel for b in model.blocks]
@@ -124,7 +152,7 @@ class TestBuildModel:
                 fan_in = w
             kf, kb = block.config.theta_sizes()
             expected += fan_in * kf + kf + fan_in * kb + kb
-        assert model.params.n_parameters() == expected
+        assert count_parameters(model).total == expected
 
     def test_shared_weights_single_group(self):
         template = BlockConfig(basis="generic", input_size=8, horizon=4, mlp_widths=(4,))
@@ -210,7 +238,7 @@ class TestForward:
 
     def test_decompose_labels_carry_decreasing_ratios(self):
         cfg, model = midas_model(blocks=3, ratio=0.5)
-        bundle = model.decompose(np.zeros(24))
+        bundle = model.forward(np.zeros(24))
         assert bundle.block_labels == ["s0.b0:midas(r=0.5)", "s0.b1:midas(r=0.25)",
                                        "s0.b2:midas(r=0.125)"]
 
@@ -218,7 +246,7 @@ class TestForward:
         template = BlockConfig(basis="generic", input_size=8, horizon=4, mlp_widths=(4,))
         cfg = ModelConfig(stacks=(StackConfig(2, template),), input_size=8, horizon=4)
         model = build_model(cfg, 0)
-        bundle = model.decompose(np.zeros(8))
+        bundle = model.forward(np.zeros(8))
         assert all(label.endswith(":generic") for label in bundle.block_labels)
 
     def test_midas_components_respect_slope_bounds(self):
@@ -277,7 +305,7 @@ class TestParameterCounting:
         cfg, model = midas_model()
         report = count_parameters(model)
         assert report.total == sum(report.per_layer.values())
-        assert report.total == model.params.n_parameters()
+        assert report.total == sum(p.value.size for p in model.params.params())
 
 
 class TestMlpBaseline:
@@ -299,7 +327,7 @@ class TestMlpBaseline:
     def test_parameter_count_closed_form(self):
         model = build_any(MlpConfig(10, 7, (5, 3)), seed=0)
         expected = (10 * 5 + 5) + (5 * 3 + 3) + (3 * 7 + 7)
-        assert model.params.n_parameters() == expected
+        assert count_parameters(model).total == expected
 
     def test_empty_widths_rejected(self):
         with pytest.raises(ConfigError):
@@ -564,3 +592,51 @@ class TestCheckpoints:
         assert build_any(MlpConfig(8, 4, (4,)), 0).horizon == 4
         with pytest.raises(ConfigError):
             build_any("nope", 0)
+
+    @pytest.mark.parametrize("shared, edit, blocks", [
+        (False, {"n_blocks": 3}, 3),
+        (False, {"n_blocks": 2 ** 63}, 2 ** 63),
+        (True, {"shared_weights": False}, 3),  # 2 own blocks + the second shared stack
+    ])
+    def test_block_count_the_arrays_cannot_hold_is_rejected_before_building(
+            self, tmp_path, monkeypatch, shared, edit, blocks):
+        import dmidas.model as model_mod
+
+        template = BlockConfig(basis="generic", input_size=8, horizon=4, mlp_widths=(3,))
+        stacks = (StackConfig(2, template, True),) * 2 if shared else (StackConfig(2, template),)
+        path = tmp_path / "m.npz"
+        save_checkpoint(build_model(ModelConfig(stacks=stacks, input_size=8, horizon=4), 0), path)
+        edit_checkpoint_config(path, lambda config: config["stacks"][0].update(edit))
+
+        def no_assembly(*args):
+            raise AssertionError("load_checkpoint built a model")
+
+        monkeypatch.setattr(model_mod, "_assemble", no_assembly)
+        with pytest.raises(ConfigError, match=rf"m\.npz': checkpoint config has {blocks} blocks "
+                                              rf"with their own parameters, but the file "
+                                              rf"stores arrays for 2$"):
+            load_checkpoint(path)
+
+    def test_fewer_blocks_than_the_arrays_keeps_the_parameter_message(self, tmp_path):
+        template = BlockConfig(basis="generic", input_size=8, horizon=4, mlp_widths=(3,))
+        path = tmp_path / "m.npz"
+        save_checkpoint(build_model(ModelConfig(stacks=(StackConfig(2, template),),
+                                                input_size=8, horizon=4), 0), path)
+        edit_checkpoint_config(path, lambda config: config["stacks"][0].update(n_blocks=1))
+        with pytest.raises(ConfigError, match=r"'s0\.b1\.mlp0\.weight' not present in model"):
+            load_checkpoint(path)
+
+    def test_a_huge_width_is_rejected_before_anything_is_allocated(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.npz"
+        save_checkpoint(build_any(MlpConfig(8, 4, (3,)), 0), path)
+        edit_checkpoint_config(path, lambda config: config.update(widths=[2 ** 31]))
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        with pytest.raises(ConfigError, match=r"m\.npz': checkpoint parameter 'mlp0\.weight' has "
+                                              r"shape \(8, 3\), expected \(8, 2147483648\)$"):
+            load_checkpoint(path)

@@ -39,10 +39,6 @@ class TestParameterStore:
         store = make_store({"w": (np.ones(2), "weight"), "b": (np.ones(2), "bias")})
         assert [p.name for p in store.weights()] == ["w"]
 
-    def test_n_parameters(self):
-        store = make_store({"w": (np.ones((2, 3)), "weight"), "b": (np.ones(3), "bias")})
-        assert store.n_parameters() == 9
-
     def test_uniform_fan_in_bounds(self):
         rng = np.random.default_rng(0)
         vals = uniform_fan_in(rng, 16, (1000,))
@@ -194,3 +190,34 @@ class TestAdam:
                                            atol=1e-12 * float(np.max(np.abs(want))))
         np.testing.assert_array_equal(state.m["none"], 0.0)
         np.testing.assert_array_equal(store["zero"].value, ref["zero"][0])
+
+    def test_steps_after_for_store_allocate_no_moments(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        store = make_store({"w": (rng.normal(size=(4, 3)), "weight"),
+                            "b": (rng.normal(size=3), "bias")})
+        state = OptimizerState.for_store(store)
+        calls = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like",
+                            lambda *args, **kw: calls.append(args) or zeros_like(*args, **kw))
+        for _ in range(2):
+            store["w"].grad = rng.normal(size=(4, 3))
+            store["b"].grad = rng.normal(size=3)
+            adam_step(store, state, lr=0.1)
+        assert calls == []
+
+    def test_a_name_missing_from_the_state_starts_at_zero(self):
+        values = {"w": (np.array([1.0, -2.0]), "weight"), "b": (np.array([0.5]), "bias")}
+        grads = {"w": np.array([0.3, -0.1]), "b": np.array([2.0])}
+        fresh, partial = make_store(values), make_store(values)
+        fresh_state = OptimizerState.for_store(fresh)
+        partial_state = OptimizerState(m={"w": np.zeros(2)}, v={"w": np.zeros(2)})
+        for _ in range(2):
+            for store, state in ((fresh, fresh_state), (partial, partial_state)):
+                for name, g in grads.items():
+                    store[name].grad = g
+                adam_step(store, state, lr=0.1)
+        for name in values:
+            np.testing.assert_array_equal(partial[name].value, fresh[name].value)
+            np.testing.assert_array_equal(partial_state.m[name], fresh_state.m[name])
+            np.testing.assert_array_equal(partial_state.v[name], fresh_state.v[name])
