@@ -584,6 +584,9 @@ def main(argv=None) -> int:
     except DmidasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entry() -> None:

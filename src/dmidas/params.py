@@ -151,7 +151,7 @@ def adam_step(store: ParameterStore, state: OptimizerState, lr: float = 1e-3,
     non-finite grad leaves the params and ``state`` as they were.
     """
     for name, p in store.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dmidas
-from dmidas import metrics, training
+from dmidas import cli, metrics, training
 from dmidas.cli import (_load_members, default_run_config, load_run_config, main,
                          search_objective, write_resolved_config)
 from dmidas.data import load_csv
@@ -280,6 +280,19 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("configuration error")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 119. GiB for an array", ""])
+    def test_memory_error_exits_three(self, workspace, capsys, monkeypatch, message):
+        _, config, _ = workspace
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_any", no_memory)
+        assert main(["param-count", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ")
+        assert (message or "an allocation failed") in err
 
 
 class TestTrain:

@@ -1,14 +1,16 @@
 """Primitive ops: value oracles, finite-difference gradients, tape mechanics."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmidas import engine
-from dmidas.engine import (GradientTape, Tensor, affine, grad_check,
-                           interp_upsample, interpolation_matrix, loss, pool1d,
-                           project, relu)
+from dmidas.engine import (BAND_MIN_ROWS, GradientTape, Tensor, affine, grad_check,
+                           interp_upsample, interpolation_band, interpolation_matrix,
+                           loss, pool1d, project, relu)
 from dmidas.errors import ConfigError, NumericsError, ShapeError
 from dmidas.params import ParameterStore, l1_penalty
 
@@ -319,7 +321,8 @@ class TestInterpUpsample:
         assert out.shape == (horizon,)
         assert np.max(np.abs(out - want)) <= tol
 
-    @pytest.mark.parametrize("knots,horizon", [(1, 9), (3, 7), (48, 96), (360, 720)])
+    @pytest.mark.parametrize("knots,horizon", [(1, 9), (3, 7), (48, 96), (360, 720),
+                                               (720, 1440), (90, 720)])
     def test_batch_is_the_dense_product_bit_for_bit(self, knots, horizon):
         m = interpolation_matrix(knots, horizon)
         theta = Tensor(np.random.default_rng(knots).normal(size=(4, knots)))
@@ -347,6 +350,108 @@ class TestInterpUpsample:
         # Extrapolating past the last knot overflows float64 here.
         with pytest.raises(NumericsError):
             interp_upsample(Tensor([-1.5e308, 1.5e308]), 3, GradientTape())
+
+
+# (rows, knots, horizon): the long-horizon-serve shapes (serving and training
+# batch), the acceptance shapes (serving), then edges: K = 1, K = 2, K = H,
+# H below one chunk, H = 97 and a batch just at the row threshold.
+BAND_SHAPES = ([(n, k, h) for n in (1444, 128)
+                for k, h in [(360, 720), (180, 720), (90, 720), (720, 1440), (360, 1440)]]
+               + [(865, k, h) for k, h in [(48, 96), (24, 96), (12, 96), (144, 288), (72, 288)]]
+               + [(128, 1, 200), (128, 2, 200), (128, 97, 97), (128, 720, 720), (128, 24, 48),
+                  (128, 13, 97), (128, 48, 97), (BAND_MIN_ROWS, 48, 96),
+                  (BAND_MIN_ROWS, 360, 720)])
+
+
+def openblas_kernels() -> str:
+    """The kernel set OpenBLAS picked for this CPU ('' where it cannot be read)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ""
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return ""
+
+
+def band_case(rows, knots, horizon):
+    m = interpolation_matrix(knots, horizon)
+    rng = np.random.default_rng(rows * 7919 + knots)
+    theta = rng.normal(size=(rows, knots)) * 10.0 ** rng.uniform(-3, 3)
+    return m, theta, project(theta, m, band=interpolation_band(knots, horizon))
+
+
+class TestInterpolationBand:
+    @pytest.mark.parametrize("knots,horizon", sorted({(k, h) for _, k, h in BAND_SHAPES}
+                                                     | {(1, 1), (1, 64), (2, 65), (64, 64)}))
+    def test_chunks_tile_the_matrix(self, knots, horizon):
+        m = interpolation_matrix(knots, horizon)
+        band = interpolation_band(knots, horizon)
+        assert [c[0] for c in band] == list(range(0, horizon, engine.BAND_STEPS))
+        assert [c[1] for c in band] == [c[0] for c in band[1:]] + [horizon]
+        rebuilt = np.zeros_like(m)
+        for t0, t1, lo, hi, block in band:
+            assert 0 <= lo < hi <= knots
+            assert np.array_equal(block, m[t0:t1, lo:hi])
+            rebuilt[t0:t1, lo:hi] = block
+        # Every nonzero of M lies inside its chunk's [lo, hi).
+        assert np.array_equal(rebuilt, m)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([1, 2, 5, 32, 129, 300]), st.integers(min_value=1, max_value=1500),
+           st.floats(min_value=0.0, max_value=1.0))
+    @example(128, 1440, 0.25)
+    @example(865, 96, 0.125)
+    def test_forward_is_the_dense_product_within_rounding(self, rows, horizon, share):
+        # Each output is a two-tap sum; BLAS kernels may round it fused or
+        # not, so band and dense agree to 2 eps of |theta| @ |M|.T anywhere.
+        knots = max(1, round(share * horizon))
+        m, theta, out = band_case(rows, knots, horizon)
+        tol = 2 * np.finfo(np.float64).eps * (np.abs(theta) @ np.abs(m).T)
+        assert np.all(np.abs(out - theta @ m.T) <= tol)
+
+    @pytest.mark.skipif(openblas_kernels() not in ("SkylakeX", "Sandybridge", "Nehalem", "Katmai"),
+                        reason="bit equality measured on OpenBLAS's SkylakeX, Sandybridge, "
+                               "Nehalem and Katmai kernels; its Haswell kernels split some "
+                               "dense products in K and round differently")
+    @pytest.mark.parametrize("rows,knots,horizon", BAND_SHAPES)
+    def test_forward_is_the_dense_product_bit_for_bit(self, rows, knots, horizon):
+        m, theta, out = band_case(rows, knots, horizon)
+        assert np.array_equal(out, theta @ m.T)
+        assert np.array_equal(interp_upsample(theta, horizon), out)
+
+    @pytest.mark.parametrize("knots,horizon", [(48, 96), (12, 96), (144, 288), (180, 720),
+                                               (360, 1440), (13, 97)])
+    def test_batches_below_the_threshold_are_the_dense_product(self, knots, horizon):
+        # On OpenBLAS's SkylakeX kernels the band of a few rows rounds
+        # differently from the dense matrix at these shapes, so small batches
+        # (train's trailing one-row mini-batch, a short validation set) keep
+        # the dense product.
+        m = interpolation_matrix(knots, horizon)
+        for rows in (1, 2, 3, 5, 12, 18, BAND_MIN_ROWS - 1):
+            theta = np.random.default_rng(rows).normal(size=(rows, knots))
+            assert np.array_equal(interp_upsample(theta, horizon), theta @ m.T), rows
+
+    def test_banded_batch_records_project_with_the_dense_backward(self):
+        knots, horizon = 360, 720
+        m = interpolation_matrix(knots, horizon)
+        theta = Tensor(np.random.default_rng(3).normal(size=(128, knots)))
+        g = np.random.default_rng(4).normal(size=(128, horizon))
+        tape = GradientTape()
+        out = interp_upsample(theta, horizon, tape)
+        assert [e.name for e in tape.entries] == ["project"]
+        banded = project(theta.value, m, band=interpolation_band(knots, horizon))
+        assert np.array_equal(out.value, banded)
+        tape.backward(out, seed=g)
+        assert np.array_equal(theta.grad, g @ m)
 
 
 class TestProject:

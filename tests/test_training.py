@@ -655,8 +655,10 @@ class TestEnsembles:
             ensemble_forecast_batch(members, x)
 
     def test_batch_rows_match_single_windows_at_long_horizon(self):
-        # Single windows interpolate by a two-tap gather, batches by the dense
-        # matrix through BLAS: the two round differently, within 1e-12.
+        # Single windows interpolate by a two-tap gather. Batches multiply
+        # through BLAS, by the band of the matrix from 32 rows and by the dense
+        # matrix below that (4 rows here), with the dense g @ M backward. The
+        # gather rounds differently, within 1e-12.
         template = BlockConfig(basis="midas", input_size=1440, horizon=720, mlp_widths=(16, 16))
         config = ModelConfig(stacks=(StackConfig(3, template),), input_size=1440,
                              horizon=720, base_ratio=0.5)
