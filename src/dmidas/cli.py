@@ -146,9 +146,6 @@ class RunConfig:
 
     sections: dict
 
-    def get(self, section: str, key: str) -> str:
-        return self.sections[section][key]
-
     def value(self, section: str, key: str):
         text = self.sections[section][key]
         convert = CONFIG_SCHEMA[section][key][1]
@@ -200,9 +197,9 @@ def _run_config(args) -> RunConfig:
         flag = getattr(args, key)
         config.sections["run"][key] = str(config.value("run", key) if flag is None else flag)
     if config.value("run", "seed") < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.get('run', 'seed')}")
+        raise ConfigError(f"seed must be >= 0, got {config.value('run', 'seed')}")
     if config.value("run", "jobs") < 1:
-        raise ConfigError(f"jobs must be >= 1, got {config.get('run', 'jobs')}")
+        raise ConfigError(f"jobs must be >= 1, got {config.value('run', 'jobs')}")
     return config
 
 
@@ -231,7 +228,7 @@ def _windows(config: RunConfig, dataset, part: str, input_size: int, horizon: in
     split = split_tail(dataset, config.value("evaluation", "val_len"),
                        config.value("evaluation", "test_len"))
     return prepared_windows(split, part, input_size, horizon,
-                            config.get("training", "normalization"))
+                            config.value("training", "normalization"))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +370,7 @@ def _evaluate_checkpoints(args, config: RunConfig, dataset) -> metrics_mod.Metri
     fc = (ensemble_forecast_batch(members, np.stack([w.input for w in test_n]))
           if test_n else [])
     entry = metrics_mod.score_windows(test_n, fc, dataset.name, horizon,
-                                      config.get("model", "kind"))
+                                      config.value("model", "kind"))
     return metrics_mod.MetricsReport(entries=[entry])
 
 

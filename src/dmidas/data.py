@@ -54,20 +54,8 @@ class TimeSeriesDataset:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DataError(f"duplicate series ids: {dupes}")
 
-    def ids(self) -> list[str]:
-        return [s.id for s in self.series]
-
-    def get(self, series_id: str) -> Series:
-        for s in self.series:
-            if s.id == series_id:
-                return s
-        raise DataError(f"no series with id '{series_id}'")
-
     def __iter__(self):
         return iter(self.series)
-
-    def __len__(self) -> int:
-        return len(self.series)
 
 
 # ---------------------------------------------------------------------------

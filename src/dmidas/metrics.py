@@ -144,12 +144,6 @@ class MetricsReport:
     def incomplete(self) -> list[tuple[str, int, str]]:
         return [(e.dataset, e.horizon, e.model) for e in self.entries if e.error]
 
-    def get(self, dataset: str, horizon: int, model: str) -> MetricEntry:
-        for e in self.entries:
-            if (e.dataset, e.horizon, e.model) == (dataset, horizon, model):
-                return e
-        raise ConfigError(f"no entry for ({dataset}, {horizon}, {model})")
-
     def to_nested(self) -> dict:
         """dataset -> horizon -> model -> {mae, rmse} (incomplete cells carry errors)."""
         nested: dict = {}

@@ -70,9 +70,9 @@ class ModelConfig:
         if self.ratio_schedule != "exponential" and not all(
                 0.0 < r <= 1.0 for r in self.ratio_schedule):
             raise ConfigError(f"per-block ratios {self.ratio_schedule} must lie in (0, 1]")
-        self._check_midas_ratios()
         if not isinstance(self.pooling_schedule, int):
             self._set_schedule("pooling_schedule", "auto", int)
+        self._check_midas_stacks()
 
     def _set_schedule(self, name: str, keyword: str, convert) -> None:
         """Keep ``keyword``; store an explicit schedule as one converted value per block."""
@@ -86,12 +86,16 @@ class ModelConfig:
             raise ConfigError(f"{name} lists {len(values)} values for {self.total_blocks} blocks")
         object.__setattr__(self, name, values)
 
-    def _check_midas_ratios(self) -> None:
-        """Reject a midas block ratio below the smallest normal float: 1 / r, and
-        so the default pooling kernel, would overflow or divide by zero."""
+    def _check_midas_stacks(self) -> None:
+        """Reject the midas blocks that could not be built: a ratio below the
+        smallest normal float (1 / r, and so the default pooling kernel, would
+        overflow or divide by zero), a pooling kernel below 1, and a
+        weight-sharing stack whose blocks resolve to different shapes."""
         tiny = sys.float_info.min
+        explicit = (isinstance(self.ratio_schedule, tuple)
+                    or isinstance(self.pooling_schedule, tuple))
         end = 0
-        for s in self.stacks:
+        for i, s in enumerate(self.stacks):
             start, end = end, end + s.n_blocks
             if s.block_template.basis != "midas":
                 continue
@@ -103,6 +107,30 @@ class ModelConfig:
             elif min(self.ratio_schedule[start:end]) < tiny:
                 raise ConfigError(f"ratio_schedule holds a midas block ratio below the "
                                   f"smallest normal float {tiny:g}")
+            # Exponential ratios differ from one block to the next unless r = 1,
+            # so two blocks decide unless a schedule lists every block.
+            last = end if explicit else min(end, start + 2)
+            shapes = {self.midas_shape(l) for l in range(start, last)}
+            kernel = min(k for _, k in shapes)
+            if kernel < 1:
+                raise ConfigError(f"pooling kernel must be >= 1, got {kernel} "
+                                  f"(pooling_schedule, stack {i})")
+            if s.shared_weights and len(shapes) > 1:
+                raise ConfigError(
+                    f"stack {i} shares weights but its blocks resolve to "
+                    f"different shapes (is a varying ratio schedule in effect?)")
+
+    def midas_shape(self, l: int) -> tuple[float, int]:
+        """Expressivity ratio and pooling kernel of block ``l`` (0-based, across
+        stacks) if it is a midas block."""
+        if self.ratio_schedule == "exponential":
+            ratio = self.base_ratio ** (l + 1)
+        else:
+            ratio = self.ratio_schedule[l]
+        kernels = self.pooling_schedule
+        if kernels == "auto":
+            return ratio, default_pool_kernel(ratio, self.input_size)
+        return ratio, kernels if isinstance(kernels, int) else kernels[l]
 
     @property
     def total_blocks(self) -> int:
@@ -134,33 +162,18 @@ def default_pool_kernel(ratio: float, input_size: int) -> int:
 
 def _resolve_blocks(config: ModelConfig) -> list[tuple[str, BlockConfig, bool]]:
     """Concrete per-block configs: (prefix, config, is_first_with_prefix)."""
-    ratios = config.ratio_schedule
-    if ratios == "exponential":
-        ratios = expressivity_schedule(config.base_ratio, config.total_blocks)
-    kernels = config.pooling_schedule
-    if isinstance(kernels, int):
-        kernels = [kernels] * config.total_blocks
-
     resolved = []
     for s_idx, stack in enumerate(config.stacks):
         for b_idx in range(stack.n_blocks):
-            l = len(resolved)
             template = stack.block_template
             if template.basis == "midas":
-                r_l = ratios[l]
-                kernel = (default_pool_kernel(r_l, template.input_size)
-                          if kernels == "auto" else kernels[l])
+                ratio, kernel = config.midas_shape(len(resolved))
                 pool = PoolSpec(kernel=kernel, stride=kernel, mode=template.pooling.mode)
-                bconf = replace(template, expressivity_ratio=r_l, pooling=pool)
+                bconf = replace(template, expressivity_ratio=ratio, pooling=pool)
             else:
                 bconf = template
             prefix = f"s{s_idx}.shared" if stack.shared_weights else f"s{s_idx}.b{b_idx}"
-            first = not stack.shared_weights or b_idx == 0
-            if not first and bconf != resolved[-1][1]:
-                raise ConfigError(
-                    f"stack {s_idx} shares weights but its blocks resolve to "
-                    f"different shapes (is a varying ratio schedule in effect?)")
-            resolved.append((prefix, bconf, first))
+            resolved.append((prefix, bconf, not stack.shared_weights or b_idx == 0))
     return resolved
 
 

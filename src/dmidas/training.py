@@ -497,10 +497,11 @@ def train_ensemble(model_config, windows_train: list[Window], windows_val: list[
     seeds = ensemble.resolved_seeds(train_config.seed)
 
     def run_member(seed: int) -> TrainedMember:
+        member = build_any(model_config, seed)
         try:
-            member = build_any(model_config, seed)
-            cfg = replace(train_config, seed=seed)
-            result = train(member, windows_train, windows_val, cfg)
+            result = train(member, windows_train, windows_val, replace(train_config, seed=seed))
+        except (ConfigError, DataError):
+            raise
         except Exception as exc:
             raise TrainingError(f"ensemble member (seed={seed}) failed: {exc}") from exc
         return TrainedMember(model=member, result=result, seed=seed)

@@ -239,7 +239,7 @@ class TestRunConfig:
         config = tmp_path / "pct.ini"
         config.write_text("[data]\nid_column = a%%b\n")
         loaded = load_run_config(config)
-        assert loaded.get("data", "id_column") == "a%b"
+        assert loaded.sections["data"]["id_column"] == "a%b"
         write_resolved_config(loaded, tmp_path / "config.resolved")
         assert load_run_config(tmp_path / "config.resolved") == loaded
 
@@ -323,6 +323,40 @@ class TestTrain:
         assert main(["train", data, "--config", str(bad), "--out", str(out)]) == 1
         _assert_underflow_message(capsys.readouterr().err)
         assert seen == [] and not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("pooling_schedule", "0", "pooling kernel must be >= 1, got 0"),
+        ("shared_weights", "true", "stack 0 shares weights but its blocks resolve to "
+                                   "different shapes"),
+    ])
+    def test_block_rule_exits_one_before_training(self, workspace, capsys, monkeypatch,
+                                                  key, value, message):
+        tmp_path, config, data = workspace
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TestEvaluate._with_key(open(config).read(), key, value))
+        seen = _seen_jobs(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["train", data, "--config", str(bad), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert seen == [] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("pooling_schedule", "30", 1, "configuration error: pooling kernel 30 exceeds "
+                                      "input length 24\n"),
+        ("val_len", "0", 2, "data error: training requires non-empty train and "
+                            "validation window sets\n"),
+    ])
+    def test_member_config_and_data_errors_keep_their_exit_code(
+            self, workspace, capsys, key, value, code, message, jobs):
+        tmp_path, config, data = workspace
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TestEvaluate._with_key(open(config).read(), key, value))
+        out = tmp_path / "out"
+        assert main(["train", data, "--config", str(bad), "--out", str(out),
+                     "--jobs", jobs]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_missing_data_exit_two(self, workspace):
         tmp_path, config, _ = workspace
@@ -459,6 +493,9 @@ class TestEvaluate:
         ("pooling_mode", "bogus", "unknown pooling_mode 'bogus'"),
         ("blocks_per_stack", "0", "blocks_per_stack must be >= 1, got 0"),
         ("ratio_schedule", "0.5", "ratio_schedule lists 1 values for 2 blocks"),
+        ("pooling_schedule", "0", "pooling kernel must be >= 1, got 0"),
+        ("shared_weights", "true", "stack 0 shares weights but its blocks resolve to "
+                                   "different shapes"),
     ])
     def test_error_every_cell_shares_exits_one(self, workspace, capsys, key, value, message):
         tmp_path, config, data = workspace
@@ -710,7 +747,7 @@ class TestSearch:
         best_path = out / "best_config.ini"
         assert best_path.exists()
         best = load_run_config(best_path)
-        assert float(best.get("training", "lr")) > 0
+        assert float(best.sections["training"]["lr"]) > 0
 
     def test_replay_reproduces_logged_mae(self, workspace):
         tmp_path, config, data = workspace

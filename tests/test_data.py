@@ -21,6 +21,11 @@ from dmidas.errors import DataError, NumericsError
 from dmidas.model import ForecastBundle
 
 
+def by_id(dataset):
+    """Series values keyed by series id."""
+    return {s.id: s.values for s in dataset}
+
+
 class TestDatasetInvariants:
     def test_duplicate_ids_rejected(self):
         s = Series(id="a", values=np.ones(3))
@@ -120,20 +125,20 @@ class TestCsvLoading:
     def test_two_rows_one_series(self, tmp_path):
         path = self.write(tmp_path, "id,time,value\na,0,1.5\na,1,2.5\n")
         ds = load_csv(path)
-        assert ds.ids() == ["a"]
+        assert [s.id for s in ds] == ["a"]
         np.testing.assert_array_equal(ds.series[0].values, [1.5, 2.5])
 
     def test_interleaved_ids_stay_in_temporal_order(self, tmp_path):
         path = self.write(tmp_path,
                           "id,time,value\na,0,1\nb,0,10\na,1,2\nb,1,20\na,2,3\n")
         ds = load_csv(path)
-        np.testing.assert_array_equal(ds.get("a").values, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ds.get("b").values, [10.0, 20.0])
+        np.testing.assert_array_equal(by_id(ds)["a"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(by_id(ds)["b"], [10.0, 20.0])
 
     def test_time_column_sorts_numerically(self, tmp_path):
         path = self.write(tmp_path, "id,time,value\na,10,3\na,2,1\na,5,2\n")
         ds = load_csv(path)
-        np.testing.assert_array_equal(ds.get("a").values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(by_id(ds)["a"], [1.0, 2.0, 3.0])
 
     def test_nan_time_is_rejected_with_its_line(self, tmp_path):
         path = self.write(tmp_path, "id,time,value\na,2,20\na,nan,99\na,1,10\na,0,0\n")
@@ -142,14 +147,14 @@ class TestCsvLoading:
 
     def test_infinite_times_sort_numerically(self, tmp_path):
         path = self.write(tmp_path, "id,time,value\na,inf,3\na,-inf,1\na,0,2\n")
-        np.testing.assert_array_equal(load_csv(path).get("a").values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(by_id(load_csv(path))["a"], [1.0, 2.0, 3.0])
 
     def test_text_times_sort_as_text(self, tmp_path):
         path = self.write(tmp_path, "id,time,value\na,2024-01-03,3\na,2024-01-01,1\n"
                                     "a,2024-01-02,2\nb,10,2\nb,9,1\n")
         ds = load_csv(path)
-        np.testing.assert_array_equal(ds.get("a").values, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ds.get("b").values, [1.0, 2.0])
+        np.testing.assert_array_equal(by_id(ds)["a"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(by_id(ds)["b"], [1.0, 2.0])
 
     def test_unparseable_value_cites_line(self, tmp_path):
         rows = "id,time,value\n" + "".join(f"a,{t},{t}\n" for t in range(5))
@@ -178,8 +183,8 @@ class TestCsvLoading:
         path.write_bytes(codecs.BOM_UTF8 + b"id,time,value\na,1,2.5\na,0,1.5\nb,0,3\n")
         with mock.patch.object(data, "_row_loop", side_effect=AssertionError("row loop ran")):
             ds = load_csv(path)
-        assert ds.ids() == ["a", "b"]
-        np.testing.assert_array_equal(ds.get("a").values, [1.5, 2.5])
+        assert [s.id for s in ds] == ["a", "b"]
+        np.testing.assert_array_equal(by_id(ds)["a"], [1.5, 2.5])
         assert parse_outcome(path, CsvSchema(), True) == parse_outcome(path, CsvSchema(), False)
 
     def test_missing_value_column(self, tmp_path):
@@ -200,13 +205,13 @@ class TestCsvLoading:
     def test_no_time_column_uses_row_order(self, tmp_path):
         path = self.write(tmp_path, "id,value\na,3\na,1\na,2\n")
         ds = load_csv(path)
-        np.testing.assert_array_equal(ds.get("a").values, [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(by_id(ds)["a"], [3.0, 1.0, 2.0])
 
     def test_custom_schema(self, tmp_path):
         path = self.write(tmp_path, "series;price\nx;1.25\nx;2.5\n")
         ds = load_csv(path, CsvSchema(id_column="series", value_column="price",
                                       time_column=None, delimiter=";"))
-        np.testing.assert_array_equal(ds.get("x").values, [1.25, 2.5])
+        np.testing.assert_array_equal(by_id(ds)["x"], [1.25, 2.5])
 
     def test_save_load_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -218,7 +223,7 @@ class TestCsvLoading:
         save_dataset_csv(original, path)
         loaded = load_csv(path)
         for s in original:
-            assert np.array_equal(loaded.get(s.id).values, s.values)
+            assert np.array_equal(by_id(loaded)[s.id], s.values)
 
     def test_double_roundtrip_is_exact(self, tmp_path):
         ds = generate_synthetic(multifreq_v1())
@@ -243,9 +248,9 @@ class TestCsvLoading:
         save_dataset_csv(original, path)
         with mock.patch.object(data, "_row_loop", side_effect=AssertionError("row loop ran")):
             loaded = load_csv(path)
-        assert loaded.ids() == original.ids()
+        assert [s.id for s in loaded] == [s.id for s in original]
         for s in original:
-            assert loaded.get(s.id).values.tobytes() == s.values.tobytes()
+            assert by_id(loaded)[s.id].tobytes() == s.values.tobytes()
 
 
 def parse_outcome(path, schema, row_loop_only):

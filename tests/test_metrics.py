@@ -17,6 +17,11 @@ from dmidas.training import EnsembleConfig, TrainConfig, split_tail
 vectors = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=32)
 
 
+def cell(report, dataset, horizon, model):
+    """The report entry of one (dataset, horizon, model) cell."""
+    return {(e.dataset, e.horizon, e.model): e for e in report.entries}[dataset, horizon, model]
+
+
 class TestMae:
     def test_perfect(self):
         assert mae(np.ones(4), np.ones(4)) == 0.0
@@ -243,7 +248,7 @@ class TestRunBenchmark:
                  ModelSpec("ok", "seasonal-naive", period=12)]
         report = run_benchmark(self.data(), specs, [6], self.protocol())
         assert ("bench", 6, "naive") in report.incomplete
-        assert report.get("bench", 6, "ok").mae is not None
+        assert cell(report, "bench", 6, "ok").mae is not None
 
     @pytest.mark.parametrize("names, horizons, message", [
         ([], [6], r"models must be a non-empty list without repeats, got \[\]"),
@@ -271,8 +276,8 @@ class TestRunBenchmark:
         specs = [ModelSpec("d", "dmidas", blocks_per_stack=1, mlp_widths=(8,),
                            pooling_schedule=24)]
         report = run_benchmark(self.data(), specs, [6, 12], self.protocol(iterations=2))
-        assert "pooling kernel 24 exceeds input length 18" in report.get("bench", 6, "d").error
-        assert report.get("bench", 12, "d").mae is not None
+        assert "pooling kernel 24 exceeds input length 18" in cell(report, "bench", 6, "d").error
+        assert cell(report, "bench", 12, "d").mae is not None
 
     def test_error_that_is_not_the_package_s_propagates(self, monkeypatch):
         from dmidas import metrics

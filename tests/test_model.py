@@ -164,10 +164,50 @@ class TestBuildModel:
 
     def test_shared_weights_with_varying_ratio_rejected(self):
         template = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
-        cfg = ModelConfig(stacks=(StackConfig(2, template, shared_weights=True),),
-                          input_size=8, horizon=4, base_ratio=0.5)
         with pytest.raises(ConfigError, match="share"):
-            build_model(cfg, 0)
+            ModelConfig(stacks=(StackConfig(2, template, shared_weights=True),),
+                        input_size=8, horizon=4, base_ratio=0.5)
+
+    @pytest.mark.parametrize("schedules", [
+        dict(ratio_schedule=(1.0, 0.5, 0.5, 0.25)),
+        dict(base_ratio=1.0, pooling_schedule=(1, 2, 2, 1)),
+    ])
+    def test_shared_stack_with_varying_explicit_slice_rejected(self, schedules):
+        template = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
+        stacks = (StackConfig(1, template), StackConfig(3, template, shared_weights=True))
+        with pytest.raises(ConfigError, match="stack 1 shares weights but its blocks resolve "
+                                              "to different shapes"):
+            ModelConfig(stacks=stacks, input_size=8, horizon=4, **schedules)
+
+    def test_shared_stack_with_constant_explicit_slice_builds_one_group(self):
+        template = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
+        stacks = (StackConfig(1, template), StackConfig(3, template, shared_weights=True))
+        cfg = ModelConfig(stacks=stacks, input_size=8, horizon=4,
+                          ratio_schedule=(1.0, 0.5, 0.5, 0.5), pooling_schedule=(1, 2, 2, 2))
+        model = build_model(cfg, 0)
+        assert [b.prefix for b in model.blocks] == ["s0.b0"] + ["s1.shared"] * 3
+        assert [(b.config.expressivity_ratio, b.config.pooling.kernel)
+                for b in model.blocks] == [(1.0, 1), (0.5, 2), (0.5, 2), (0.5, 2)]
+
+    def test_huge_shared_stack_at_ratio_one_is_checked_at_once(self):
+        template = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
+        cfg = ModelConfig(stacks=(StackConfig(10 ** 12, template, shared_weights=True),),
+                          input_size=8, horizon=4)
+        assert cfg.midas_shape(10 ** 12 - 1) == (1.0, 1)
+
+    @pytest.mark.parametrize("pooling_schedule", [0, (1, 0), (2, -1)])
+    def test_midas_kernel_below_one_rejected(self, pooling_schedule):
+        template = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
+        with pytest.raises(ConfigError, match="pooling kernel must be >= 1"):
+            ModelConfig(stacks=(StackConfig(2, template),), input_size=8, horizon=4,
+                        base_ratio=0.5, pooling_schedule=pooling_schedule)
+
+    def test_kernel_below_one_at_a_generic_block_is_ignored(self):
+        midas = BlockConfig(basis="midas", input_size=8, horizon=4, mlp_widths=(4,))
+        generic = BlockConfig(basis="generic", input_size=8, horizon=4, mlp_widths=(4,))
+        cfg = ModelConfig(stacks=(StackConfig(1, generic), StackConfig(1, midas)),
+                          input_size=8, horizon=4, pooling_schedule=(0, 2))
+        assert [b.config.pooling.kernel for b in build_model(cfg, 0).blocks] == [1, 2]
 
 
 class TestForward:

@@ -129,7 +129,7 @@ class TestHoldoutWindows:
             starts = list(range(lo, hi - 4 + 1, 3))
             assert len(windows) == 2 * len(starts)
             for w, t0 in zip(windows, starts * 2):
-                v = ds.get(w.series_id).values
+                v = {s.id: s.values for s in ds}[w.series_id]
                 assert w.t_start == t0 - 10
                 np.testing.assert_array_equal(w.input, v[t0 - 10:t0])
                 np.testing.assert_array_equal(w.target, v[t0:t0 + 4])
@@ -621,6 +621,33 @@ class TestEnsembles:
             for name in a.model.params.names():
                 assert np.array_equal(a.model.params[name].value,
                                       b.model.params[name].value)
+
+    def test_member_failure_is_wrapped_with_its_seed(self, monkeypatch):
+        tn, vn = self.setup_data()
+        cause = RuntimeError("boom")
+
+        def fail(*args):
+            raise cause
+
+        monkeypatch.setattr(training, "train", fail)
+        with pytest.raises(TrainingError,
+                           match=r"^ensemble member \(seed=7\) failed: boom$") as info:
+            train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
+                           EnsembleConfig(n_members=1, member_seeds=[7]))
+        assert info.value.__cause__ is cause
+
+    @pytest.mark.parametrize("error", [ConfigError("bad key"), DataError("bad data")])
+    def test_member_config_and_data_errors_pass_through(self, monkeypatch, error):
+        tn, vn = self.setup_data()
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(training, "train", fail)
+        with pytest.raises(type(error)) as info:
+            train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
+                           EnsembleConfig(n_members=2), jobs=2)
+        assert info.value is error
 
     def test_parallel_training_without_openblas_cap_matches(self, monkeypatch):
         tn, vn = self.setup_data()
