@@ -252,13 +252,13 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
     """Train and score every (model, horizon) cell.
 
     What the cells share is checked before any of them runs, and an error in
-    it raises: the split, the model and horizon lists (non-empty, no
-    repeats) and every trained cell's model config. A ``DmidasError`` that
-    belongs to one cell flags that cell only: a horizon the test region
-    cannot hold, a naive period longer than the input, an explicit pooling
-    kernel longer than the input. Test windows roll over the holdout region
-    with stride = horizon, so their targets never overlap; they are scored
-    by ``score_windows``.
+    it raises: the split, a validation region for the trained cells, the
+    model and horizon lists (non-empty, no repeats) and every trained cell's
+    model config. A ``DmidasError`` that belongs to one cell flags that cell
+    only: a horizon the test region cannot hold, a naive period longer than
+    the input, an explicit pooling kernel longer than the input. Test
+    windows roll over the holdout region with stride = horizon, so their
+    targets never overlap; they are scored by ``score_windows``.
     """
     split = split_tail(dataset, protocol.val_len, protocol.test_len)
     for key, values in (("models", [s.name for s in model_specs]), ("horizons", list(horizons))):
@@ -269,6 +269,8 @@ def run_benchmark(dataset: TimeSeriesDataset, model_specs: list[ModelSpec],
     cells = [(spec, h, None if spec.kind == "seasonal-naive"
               else model_config_for(spec, spec.input_size or 3 * h, h))
              for spec in model_specs for h in horizons]
+    if protocol.val_len == 0 and any(config is not None for _, _, config in cells):
+        raise DataError("val_len = 0 leaves no validation windows to train on")
 
     def run_cell(args) -> MetricEntry:
         (spec, horizon, config), index = args

@@ -177,6 +177,16 @@ def _resolve_blocks(config: ModelConfig) -> list[tuple[str, BlockConfig, bool]]:
     return resolved
 
 
+def input_vector(model, y_in) -> np.ndarray:
+    """``y_in`` as the float64 vector of ``model.input_size`` lags that a
+    single-window forecast takes; any other shape is a ``ConfigError``."""
+    y = np.asarray(y_in, dtype=np.float64)
+    if y.ndim != 1 or y.shape[0] != model.input_size:
+        raise ConfigError(f"expected an input vector of length {model.input_size}, "
+                          f"got shape {y.shape}")
+    return y
+
+
 class StackedForecaster:
     """Blocks chained by doubly residual connections over one parameter store."""
 
@@ -220,10 +230,7 @@ class StackedForecaster:
 
     def forward(self, y_in) -> ForecastBundle:
         """Forecast a single input window, keeping the per-block decomposition."""
-        y = np.asarray(y_in, dtype=np.float64)
-        if y.ndim != 1 or y.shape[0] != self.input_size:
-            raise ConfigError(f"expected an input vector of length {self.input_size}, "
-                              f"got shape {y.shape}")
+        y = input_vector(self, y_in)
         forecast, components, residuals = self.forward_batch(y, tape=None, collect=True)
         return ForecastBundle(
             forecast=engine.value_of(forecast).copy(),

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import ctypes
 import itertools
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -14,10 +16,12 @@ import numpy as np
 from . import engine
 from .data import Series, TimeSeriesDataset
 from .errors import ConfigError, DataError, NumericsError, TrainingError
-from .model import build_any
+from .model import build_any, input_vector
 from .params import OptimizerState, adam_step, l1_penalty
 
 NORMALIZATION_MODES = ("none", "per-series-median", "per-window-last")
+# Rows per block of a batch forecast (``ensemble_forecast_batch``).
+BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -439,8 +443,10 @@ def _keep_freed_memory() -> None:
     pages in again. Blocks up to 32 MiB (glibc's 64-bit maximum) now come
     from the heap, which is trimmed only above 64 MiB free. Both are needed:
     setting only the trim threshold turns off glibc's dynamic mmap threshold,
-    and then more blocks are mapped. Process-wide; does nothing where libc
-    has no ``mallopt``.
+    and then more blocks are mapped. All threads share one arena, so the
+    blocks one worker frees serve the next, instead of each worker thread's
+    arena keeping its own. Process-wide; does nothing where libc has no
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -449,6 +455,7 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_freed_memory()
@@ -461,14 +468,52 @@ def child_seed(root_seed: int, index: int) -> int:
                .generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_blas_cap_lock = threading.Lock()
+_blas_cap_held = False  # mirrors the process-wide OpenBLAS count: is one cap in force?
+
+
+@contextlib.contextmanager
+def _blas_thread_cap(cap: int):
+    """Cap each OpenBLAS in the process at ``cap`` threads (never above its
+    current count) until exit, then restore its count; yields True.
+
+    The count is process-wide, so the cap holds for BLAS calls from every
+    thread. While one cap is in force, a nested or concurrent one changes
+    nothing and yields False: moving the count under running workers would
+    change how their products round midway through their work.
+    """
+    global _blas_cap_held
+    with _blas_cap_lock:
+        held, _blas_cap_held = _blas_cap_held, True
+    if held:
+        yield False
+        return
+    saved = []
+    try:
+        saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+        for set_, before in saved:
+            set_(min(before, cap))
+        yield True
+    finally:
+        for set_, before in saved:
+            set_(before)
+        with _blas_cap_lock:
+            _blas_cap_held = False
+
+
 def parallel_map(fn, items, jobs: int) -> list:
     """``[fn(x) for x in items]`` in item order, on ``min(jobs, len(items))`` threads.
 
-    This is the one fan-out behind every ``--jobs`` option. The workers share
-    the process's cores: while more than one runs, each OpenBLAS in the
-    process is capped at ``usable_cpus // workers`` threads (at least 1, never
-    above its current count) and its count is restored on return. The cap is
-    process-wide, so BLAS calls from any other thread are capped until then.
+    This is the one fan-out behind every ``--jobs`` option and every batch
+    forecast. The workers share the process's cores: while more than one
+    runs, OpenBLAS is capped at ``usable_cpus // workers`` threads (at least
+    1; see ``_blas_thread_cap``).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -476,18 +521,9 @@ def parallel_map(fn, items, jobs: int) -> list:
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
-    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    cap = max(1, usable_cpus // workers)
-    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-    try:
-        for set_, before in saved:
-            set_(min(before, cap))
+    with _blas_thread_cap(max(1, _usable_cpus() // workers)):
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
-    finally:
-        for set_, before in saved:
-            set_(before)
 
 
 def train_ensemble(model_config, windows_train: list[Window], windows_val: list[Window],
@@ -524,18 +560,42 @@ def _member_models(members):
 def ensemble_forecast(members, y_in) -> np.ndarray:
     """Elementwise arithmetic mean of the member forecasts, in list order."""
     models = _member_models(members)
+    y = input_vector(models[0], y_in)
     acc = None
     for m in models:
-        fc = m.forward(y_in).forecast
+        fc = engine.value_of(m.forward_batch(y, tape=None)[0])
         acc = fc.copy() if acc is None else acc + fc
     return acc / len(models)
 
 
 def ensemble_forecast_batch(members, x) -> np.ndarray:
-    """Mean member forecast over a (N, L) batch."""
+    """Mean member forecast over a (N, L) batch.
+
+    The rows are forecast in blocks of ``BATCH_ROWS`` on every usable CPU,
+    with OpenBLAS held at one thread for the whole call, so a row's bits
+    depend on neither the CPU count nor the caller's ``--jobs``. Inside a
+    fan-out that already caps OpenBLAS (``evaluate --jobs N``), the blocks
+    run one after another in the calling worker at that cap instead. Each
+    block sums its members in list order into its rows of one output.
+    """
     models = _member_models(members)
-    acc = None
-    for m in models:
-        fc = engine.value_of(m.forward_batch(x, tape=None)[0])
-        acc = fc.copy() if acc is None else acc + fc
-    return acc / len(models)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != models[0].input_size:
+        raise ConfigError(f"expected an input batch of shape (N, {models[0].input_size}), "
+                          f"got shape {x.shape}")
+    out = np.empty((len(x), models[0].horizon))
+
+    def forecast_rows(lo: int) -> None:
+        rows, acc = x[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS]
+        for k, m in enumerate(models):
+            fc = engine.value_of(m.forward_batch(rows, tape=None)[0])
+            if k:
+                acc += fc
+            else:
+                acc[...] = fc
+
+    with _blas_thread_cap(1) as held:
+        parallel_map(forecast_rows, range(0, len(x), BATCH_ROWS),
+                     _usable_cpus() if held else 1)
+    out /= len(models)
+    return out

@@ -521,6 +521,28 @@ class TestEvaluate:
         assert calls == []
         assert not (tmp_path / "e").exists()
 
+    def test_no_validation_region_exits_two_before_training(self, workspace, capsys,
+                                                             monkeypatch):
+        tmp_path, config, data = workspace
+        calls = []
+        monkeypatch.setattr(metrics, "train_ensemble", lambda *args, **kwargs: calls.append(1))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(self._with_key(open(config).read(), "val_len", "0"))
+        assert main(["evaluate", data, "--config", str(bad), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == ("data error: val_len = 0 leaves no validation "
+                                           "windows to train on\n")
+        assert calls == []
+        assert not (tmp_path / "e").exists()
+
+    def test_no_validation_region_is_fine_for_seasonal_naive(self, workspace):
+        tmp_path, config, data = workspace
+        naive = tmp_path / "naive.ini"
+        naive.write_text(self._with_key(open(config).read(), "val_len", "0")
+                         .replace("models = dmidas,seasonal-naive", "models = seasonal-naive"))
+        out = tmp_path / "e"
+        assert main(["evaluate", data, "--config", str(naive), "--out", str(out)]) == 0
+        assert "mae" in json.loads((out / "metrics.json").read_text())["data"]["8"]["seasonal-naive"]
+
     def test_naive_period_above_the_input_is_an_error_cell(self, workspace):
         tmp_path, config, data = workspace
         long = tmp_path / "long.ini"

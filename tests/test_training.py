@@ -15,7 +15,7 @@ from dmidas.blocks import BlockConfig
 from dmidas.data import Series, Sinusoid, SyntheticSpec, TimeSeriesDataset, generate_synthetic
 from dmidas import engine
 from dmidas.engine import affine
-from dmidas.errors import ConfigError, DataError, TrainingError
+from dmidas.errors import ConfigError, DataError, NumericsError, TrainingError
 from dmidas.model import ModelConfig, StackConfig, build_model
 from dmidas import training
 from dmidas.params import OptimizerState, ParameterStore, adam_step
@@ -179,20 +179,21 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count())
 
 
+@pytest.fixture
+def blas():
+    """The getter ``parallel_map`` reads, with the count set to every usable core."""
+    controls = training._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, set_ = controls[0]
+    original = get()
+    set_(USABLE_CPUS)
+    yield get
+    set_(original)
+
+
 class TestBlasThreadCap:
     """While workers run, OpenBLAS gets the cores each worker owns."""
-
-    @pytest.fixture
-    def blas(self):
-        """The getter ``parallel_map`` reads, with the count set to every usable core."""
-        controls = training._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS loaded in this process")
-        get, set_ = controls[0]
-        original = get()
-        set_(USABLE_CPUS)
-        yield get
-        set_(original)
 
     @pytest.mark.parametrize("jobs, n_items", [(2, 4), (4, 2)])
     def test_workers_read_the_cap_and_it_is_restored(self, blas, jobs, n_items):
@@ -229,6 +230,112 @@ class TestBlasThreadCap:
         assert [n for n, _ in uncapped] == [USABLE_CPUS] * 4
         for (_, a), (_, b) in zip(capped, uncapped):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBatchBlocks:
+    """A batch forecast runs in blocks of ``BATCH_ROWS`` rows on every usable CPU
+    with OpenBLAS at one thread, so its bytes do not depend on the CPU count."""
+
+    N = 2 * training.BATCH_ROWS + 7  # the tail block is below BAND_MIN_ROWS
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        # The first block pools 800 lags to 400, so its first affine has a fan-in
+        # at which OpenBLAS rounds differently at one and at two threads.
+        template = BlockConfig(basis="midas", input_size=800, horizon=32, mlp_widths=(16, 16))
+        return ModelConfig(stacks=(StackConfig(2, template),), input_size=800, horizon=32,
+                           base_ratio=0.5)
+
+    @pytest.fixture(scope="class")
+    def members(self, config):
+        return [build_model(config, seed) for seed in (0, 1)]
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        assert self.N % training.BATCH_ROWS < engine.BAND_MIN_ROWS
+        t = np.arange(800 + self.N)
+        return np.stack([np.sin(2 * np.pi * t[i:i + 800] / 96) + 0.01 * i
+                         for i in range(self.N)])
+
+    @staticmethod
+    def spy(monkeypatch, member, get) -> list:
+        """The OpenBLAS thread counts that ``member``'s batch forwards see."""
+        seen = []
+        real = member.forward_batch
+
+        def forward_batch(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(member, "forward_batch", forward_batch)
+        return seen
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, members, x, monkeypatch):
+        out = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            out[cpus] = ensemble_forecast_batch(members, x).tobytes()
+        assert out[1] == out[2] == out[3]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_openblas_runs_at_one_thread_and_is_restored(self, blas, members, x,
+                                                         monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        seen = self.spy(monkeypatch, members[1], blas)
+        ensemble_forecast_batch(members, x)
+        assert seen == [1] * 3
+        assert blas() == USABLE_CPUS
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_count_restored_after_a_member_raises(self, blas, config, members, x,
+                                                  monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        broken = build_model(config, 2)
+        broken.params["s0.b0.mlp0.weight"].value[0, 0] = np.nan
+        with pytest.raises(NumericsError):
+            ensemble_forecast_batch([members[0], broken], x)
+        assert blas() == USABLE_CPUS
+        seen = self.spy(monkeypatch, members[1], blas)
+        ensemble_forecast_batch(members, x[:40])
+        assert seen == [1]
+
+    def test_inside_a_capped_fan_out_the_count_stays(self, blas, members, x, monkeypatch):
+        # Two workers on twice the usable CPUs keep OpenBLAS at every usable core.
+        # Moving that process-wide count would change how the sibling worker's
+        # products round midway.
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2 * USABLE_CPUS)
+        seen = self.spy(monkeypatch, members[1], blas)
+        fcs = parallel_map(lambda _: ensemble_forecast_batch(members, x), range(2), 2)
+        assert seen == [USABLE_CPUS] * 6
+        assert blas() == USABLE_CPUS
+        assert fcs[0].tobytes() == fcs[1].tobytes()
+
+    def test_rows_match_single_windows_across_block_boundaries(self, members, x):
+        batch = ensemble_forecast_batch(members, x)
+        rows = [0, 1] + [b + d for b in (training.BATCH_ROWS, 2 * training.BATCH_ROWS)
+                         for d in (-2, -1, 0, 1)] + [self.N - 1]
+        singles = np.stack([ensemble_forecast(members, x[r]) for r in rows])
+        assert np.max(np.abs(batch[rows] - singles)) <= 1e-12 * np.max(np.abs(singles))
+
+    @pytest.mark.parametrize("n", [1, 5, engine.BAND_MIN_ROWS, training.BATCH_ROWS - 1])
+    def test_fewer_rows_than_a_block(self, members, x, n):
+        batch = ensemble_forecast_batch(members, x[:n])
+        assert batch.shape == (n, 32)
+        singles = np.stack([ensemble_forecast(members, row) for row in x[:n]])
+        assert np.max(np.abs(batch - singles)) <= 1e-12 * np.max(np.abs(singles))
+
+    def test_inputs_callers_pass_give_the_same_bytes(self, members, x):
+        want = ensemble_forecast_batch(members, x[:300]).tobytes()
+        read_only = x[:300].copy()
+        read_only.flags.writeable = False
+        for given in (read_only, np.asfortranarray(x[:300]), x[:300].tolist(),
+                      np.stack([row for row in x[:300]])):
+            assert ensemble_forecast_batch(members, given).tobytes() == want
+
+    @pytest.mark.parametrize("shape", [(800,), (3, 799), (2, 3, 800)])
+    def test_other_shapes_rejected(self, members, shape):
+        with pytest.raises(ConfigError, match="expected an input batch of shape"):
+            ensemble_forecast_batch(members, np.zeros(shape))
 
 
 def plain_copy(w: Window) -> Window:
@@ -585,10 +692,8 @@ class TestEnsembles:
                 self.fc = np.array(fc)
                 self.input_size, self.horizon = 2, 2
 
-            def forward(self, y_in):
-                from dmidas.model import ForecastBundle
-                return ForecastBundle(forecast=self.fc.copy(), components=[],
-                                      residual_trace=[], block_labels=[])
+            def forward_batch(self, x, tape=None, collect=False):
+                return self.fc.copy(), [], []
 
         fc = ensemble_forecast([Fixed([0.0, 2.0]), Fixed([2.0, 4.0])], np.zeros(2))
         np.testing.assert_array_equal(fc, [1.0, 3.0])
