@@ -352,18 +352,29 @@ def _row_loop(records, columns: tuple, n_fields: int, path) -> list[Series]:
     return series
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_dataset_csv(dataset: TimeSeriesDataset, path) -> None:
-    """Write id,time,value rows; floats as shortest round-trip decimals."""
+    """Write id,time,value rows; floats as shortest round-trip decimals.
+
+    The bytes are those of ``csv.writer`` writing one row at a time, but each
+    series goes out as one string.
+    """
     try:
         handle = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write '{path}': {exc}") from None
     with handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "time", "value"])
+        handle.write("id,time,value\r\n")
         for s in dataset:
-            for t, v in enumerate(s.values):
-                writer.writerow([s.id, t, repr(float(v))])
+            sid = _csv_field(str(s.id))
+            handle.write("".join([f"{sid},{t},{v!r}\r\n"
+                                  for t, v in enumerate(s.values.tolist())]))
 
 
 def write_decomposition_csv(bundle, path) -> None:

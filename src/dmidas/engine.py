@@ -3,9 +3,12 @@
 Values flow through traced primitives (affine, relu, pool1d, interpolation,
 losses). Each primitive appends exactly one entry to a ``GradientTape``;
 replaying the entries in reverse order accumulates exact adjoints into the
-``grad`` slot of every participating :class:`Tensor`. Plain numpy arrays
-passed to a primitive are treated as constants: no gradient is computed for
-them and an all-constant call returns a plain array without recording.
+``grad`` slot of every leaf :class:`Tensor`: one that no entry on the tape
+produced, such as a parameter or a tensor the caller made. An op output's
+adjoint is dropped once its entry has passed it on, so after a backward pass
+only the leaves hold grads. Plain numpy arrays passed to a primitive are
+treated as constants: no gradient is computed for them and an all-constant
+call returns a plain array without recording.
 
 All math is float64. Producing a NaN or Inf anywhere raises
 :class:`~dmidas.errors.NumericsError` rather than propagating silently.
@@ -97,10 +100,15 @@ class GradientTape:
                     for e in self.entries), default=math.inf)
 
     def backward(self, root: Tensor, seed: Array | None = None) -> None:
-        """Accumulate adjoints of ``root`` into every participating tensor's grad.
+        """Accumulate adjoints of ``root`` into the grad of every leaf it depends on.
 
-        Grads of all tensors on the tape are cleared first, so repeated calls
-        never accumulate across runs. ``seed`` defaults to ones.
+        Leaves are the tensors that no entry on this tape produced: parameters
+        and the tensors the caller made. They keep their grads after the call.
+        Each op output's adjoint is dropped as soon as its entry has passed it
+        on, so afterwards every output on the tape, ``root`` included, has
+        ``grad is None``. Grads of all tensors on the tape are cleared first,
+        so repeated calls never accumulate across runs. ``seed`` defaults to
+        ones.
         """
         if not isinstance(root, Tensor):
             raise ShapeError("backward root must be a Tensor")
@@ -111,9 +119,10 @@ class GradientTape:
                     t.grad = None
         root.grad = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=np.float64)
         # Entries were appended in execution order, so reverse order is a
-        # valid topological order of the graph.
+        # valid topological order of the graph: every consumer of an entry's
+        # output has run before the entry, and its adjoint is complete.
         for entry in reversed(self.entries):
-            g = entry.output.grad
+            g, entry.output.grad = entry.output.grad, None
             if g is None:
                 continue
             grads = entry.backward(g)
@@ -336,8 +345,9 @@ def project(theta, basis: Array, tape: GradientTape | None = None, band: tuple |
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
 
-    A single window (1-D ``theta``) gathers its two taps per step. A batch of
-    at least ``BAND_MIN_ROWS`` rows multiplies by the band of the matrix
+    A single window (1-D ``theta``) gathers its two taps per step and builds
+    the dense M only if its backward runs. A batch of at least
+    ``BAND_MIN_ROWS`` rows multiplies by the band of the matrix
     (``interpolation_band``): M has two nonzeros per row, so the dense product
     spends nearly all its work on zeros. Smaller batches multiply by the dense
     M. The backward is the dense ``g @ M`` either way.
@@ -352,14 +362,13 @@ def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """
     tv = value_of(theta)
     knots = tv.shape[-1]
-    m = interpolation_matrix(knots, horizon)
     if tv.ndim != 1:
         band = interpolation_band(knots, horizon) if tv.size >= BAND_MIN_ROWS * knots else None
-        return project(theta, m, tape, band=band)
+        return project(theta, interpolation_matrix(knots, horizon), tape, band=band)
     k1, k2, a, b = _taps(knots, horizon)
 
     def backward(g):
-        return (g @ m,)
+        return (g @ interpolation_matrix(knots, horizon),)
 
     return _emit(a * tv[k1] + b * tv[k2], (theta,), backward, tape, "project")
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DmidasError, TrainingError
+from .errors import ConfigError, DataError, DmidasError, TrainingError
 from .training import child_seed, parallel_map
 
 
@@ -64,6 +64,8 @@ def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> Searc
     config; the per-trial seed is derived deterministically from the search
     seed. An objective's ``DmidasError`` marks the trial failed and the search
     continues; any other exception propagates. Ties go to the earliest trial.
+    If every trial fails, the search raises ``ConfigError`` when every failure
+    was one, ``DataError`` likewise, and ``TrainingError`` otherwise.
     """
     if budget < 1:
         raise ConfigError(f"search budget must be >= 1, got {budget}")
@@ -73,27 +75,30 @@ def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> Searc
         config = sample_config(rng)
         drawn.append((index, config, child_seed(seed, index)))
 
-    def run_trial(args) -> Trial:
+    def run_trial(args) -> tuple[Trial, type | None]:
+        """The trial and the class of the error that failed it (None if it ran)."""
         index, config, trial_seed = args
         start = time.perf_counter()
         try:
             val = float(objective(config, trial_seed))
-            status = "ok"
+            status, cause = "ok", None
         except DmidasError as exc:
             val = None
-            status = f"failed: {exc}"
-        return Trial(index=index, config=config, val_mae=val, seed=trial_seed,
-                     status=status, wall_time=time.perf_counter() - start)
+            status, cause = f"failed: {exc}", type(exc)
+        return (Trial(index=index, config=config, val_mae=val, seed=trial_seed,
+                      status=status, wall_time=time.perf_counter() - start), cause)
 
-    trials = parallel_map(run_trial, drawn, jobs)
+    outcomes = parallel_map(run_trial, drawn, jobs)
+    trials = [t for t, _ in outcomes]
 
     best = None
     for t in trials:
         if t.status == "ok" and (best is None or t.val_mae < best.val_mae):
             best = t
     if best is None:
-        raise TrainingError(f"all {len(trials)} search trials failed; "
-                            f"trial 0 {trials[0].status}")
+        shared = next((c for c in (ConfigError, DataError)
+                       if all(issubclass(cause, c) for _, cause in outcomes)), TrainingError)
+        raise shared(f"all {len(trials)} search trials failed; trial 0 {trials[0].status}")
     return SearchResult(best=best, trials=trials)
 
 

@@ -297,6 +297,11 @@ def train(model, windows_train: list[Window], windows_val: list[Window],
     Parameters are checkpointed at the best validation MAE (computed on
     denormalized values) and restored before returning; the loop stops early
     after ``early_stop_patience`` evaluations without improvement.
+
+    Besides the parameters, a run holds Adam's two moments, one set of grads
+    and one checkpoint copy, which each improvement overwrites in place. The
+    last step's grads are released before returning, so the trained model
+    carries none.
     """
     if not windows_train or not windows_val:
         raise DataError("training requires non-empty train and validation window sets")
@@ -352,7 +357,8 @@ def train(model, windows_train: list[Window], windows_val: list[Window],
             if val_mae < best_val:
                 best_val = val_mae
                 best_iter = it
-                best_snapshot = model.params.snapshot()
+                for name, p in model.params.items():
+                    np.copyto(best_snapshot[name], p.value)
                 evals_since_best = 0
             else:
                 evals_since_best += 1
@@ -360,6 +366,7 @@ def train(model, windows_train: list[Window], windows_val: list[Window],
                     break
 
     model.params.restore(best_snapshot)
+    model.params.zero_grad()
     return TrainResult(history=history, best_val_mae=float(best_val), best_iteration=best_iter)
 
 

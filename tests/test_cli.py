@@ -15,6 +15,7 @@ from dmidas import cli, metrics, training
 from dmidas.cli import (_load_members, default_run_config, load_run_config, main,
                          search_objective, write_resolved_config)
 from dmidas.data import load_csv
+from dmidas.errors import ConfigError, DataError
 
 TINY_SPEC = {
     "name": "tiny",
@@ -811,10 +812,26 @@ class TestSearch:
                                                    "base_ratio = 0.5\npooling_schedule = 30"))
         code = main(["search", data, "--config", str(bad), "--budget", "2",
                      "--out", str(tmp_path / "s")])
-        assert code == 3
+        # every trial fails on the same configuration error, as `train` would: exit 1
+        assert code == 1
         err = capsys.readouterr().err
         assert "all 2 search trials failed" in err
         assert "pooling kernel 30 exceeds input length 24" in err
+
+    def test_trials_failing_with_mixed_causes_exit_three(self, workspace, monkeypatch,
+                                                         capsys):
+        tmp_path, config, data = workspace
+        causes = iter([ConfigError("a bad key"), DataError("a bad series")])
+
+        def objective(cfg, seed):
+            raise next(causes)
+
+        monkeypatch.setattr(cli, "search_objective", lambda config, dataset: objective)
+        code = main(["search", data, "--config", config, "--budget", "2",
+                     "--out", str(tmp_path / "s")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "training error: all 2 search trials failed; trial 0 failed: a bad key" in err
 
     def test_budget_zero_exit_one(self, workspace):
         tmp_path, config, data = workspace

@@ -1,6 +1,8 @@
 """Synthetic generation, CSV ingestion and result export."""
 
 import codecs
+import csv
+import io
 import json
 import math
 import warnings
@@ -371,6 +373,50 @@ class TestColumnPassMatchesRowLoop:
         path = tmp_path_factory.mktemp("prop") / "random.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_same_as_row_loop(path)
+
+
+
+def row_loop_csv_bytes(dataset) -> bytes:
+    """What ``save_dataset_csv`` wrote when it ran ``csv.writer`` row by row."""
+    sink = io.StringIO(newline="")
+    writer = csv.writer(sink)
+    writer.writerow(["id", "time", "value"])
+    for s in dataset:
+        for t, v in enumerate(s.values):
+            writer.writerow([s.id, t, repr(float(v))])
+    return sink.getvalue().encode("utf-8")
+
+
+class TestSaveMatchesRowLoop:
+    IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " leading", "trailing ",
+           "", "näive-ü-日本", '"', ",", "\r\n", "tab\there", "'single'"]
+
+    def test_edge_ids(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = TimeSeriesDataset(series=[
+            Series(id=sid, values=rng.normal(size=3 + k) * 10.0 ** (k - 7))
+            for k, sid in enumerate(self.IDS)])
+        path = tmp_path / "edge.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_bytes() == row_loop_csv_bytes(ds)
+
+    def test_special_values(self, tmp_path):
+        ds = TimeSeriesDataset(series=[Series(id="v", values=np.array(
+            [0.0, -0.0, 1e-310, 5e-324, 1.7976931348623157e308, -2.5, 1 / 3, 1e16, 123.0]))])
+        path = tmp_path / "values.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_bytes() == row_loop_csv_bytes(ds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=5))
+    def test_random_ids_and_values(self, tmp_path_factory, ids, values):
+        ds = TimeSeriesDataset(series=[Series(id=sid, values=np.array(values) + k)
+                                       for k, sid in enumerate(ids)])
+        path = tmp_path_factory.mktemp("save") / "random.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_bytes() == row_loop_csv_bytes(ds)
 
 
 class TestExport:

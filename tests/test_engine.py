@@ -581,6 +581,50 @@ class TestTapeMechanics:
         assert tape.min_kink_margin() == min(expected.values())
 
 
+def kept_adjoints(tape, root) -> dict:
+    """The reverse replay with every adjoint kept, keyed by ``id`` of its tensor."""
+    adjoint = {id(root): np.ones_like(root.value)}
+    for entry in reversed(tape.entries):
+        g = adjoint.get(id(entry.output))
+        if g is None:
+            continue
+        for t, gt in zip(entry.inputs, entry.backward(g)):
+            if gt is not None and isinstance(t, Tensor):
+                adjoint[id(t)] = gt if id(t) not in adjoint else adjoint[id(t)] + gt
+    return adjoint
+
+
+class TestLeafGrads:
+    """After ``backward`` only leaves hold grads: op outputs drop their adjoints."""
+
+    def graph(self):
+        rng = np.random.default_rng(40)
+        store = ParameterStore()
+        store.add("w1", rng.normal(size=(4, 6)))
+        store.add("b1", rng.normal(size=6), kind="bias")
+        store.add("w2", rng.normal(size=(6, 3)))
+        store.add("b2", rng.normal(size=3), kind="bias")
+        x = Tensor(rng.normal(size=(5, 8)))
+        tape = GradientTape()
+        h = relu(affine(pool1d(x, 2, tape=tape), store["w1"], store["b1"], tape), tape)
+        theta = affine(h, store["w2"], store["b2"], tape)
+        # x feeds the pooling and the residual, so its adjoint sums two paths
+        residual = engine.sub(x, interp_upsample(theta, 8, tape), tape)
+        fit = loss(rng.normal(size=(5, 8)), residual, "mae", tape)
+        root = engine.add(fit, l1_penalty(store, 0.01, tape), tape)
+        return tape, root, [x] + [store[n] for n in store.names()]
+
+    def test_outputs_drop_their_adjoints_and_leaves_keep_exact_grads(self):
+        tape, root, leaves = self.graph()
+        expected = kept_adjoints(tape, root)
+        tape.backward(root)
+        assert all(entry.output.grad is None for entry in tape.entries)
+        assert root.grad is None
+        for leaf in leaves:
+            assert leaf.grad is not None
+            assert_same_bits(leaf.grad, expected[id(leaf)])
+
+
 class TestGradCheck:
     def test_sum_has_zero_relative_error(self):
         # integer points and a power-of-two step keep the finite differences

@@ -98,13 +98,24 @@ class TestRandomSearch:
         assert result.trials[0].status.startswith("failed")
         assert result.best.index == 1
 
-    def test_all_failed_raises(self):
+    @pytest.mark.parametrize("error", [ConfigError, DataError, TrainingError])
+    def test_all_failed_with_one_cause_raises_it(self, error):
         def objective(cfg, seed):
-            raise DataError("always")
+            raise error("always")
 
-        with pytest.raises(TrainingError, match=r"^all 3 search trials failed; "
-                                                r"trial 0 failed: always$"):
+        with pytest.raises(error, match=r"^all 3 search trials failed; "
+                                        r"trial 0 failed: always$") as raised:
             random_search(3, objective, seed=6)
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_failed_with_mixed_causes_is_a_training_error(self, jobs):
+        def objective(cfg, seed):
+            raise (ConfigError if cfg["l1_enabled"] else DataError)("differs")
+
+        with pytest.raises(TrainingError, match=r"^all 4 search trials failed; ") as raised:
+            random_search(4, objective, seed=0, jobs=jobs)
+        assert type(raised.value) is TrainingError
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_outside_the_package_propagates(self, jobs):

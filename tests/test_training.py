@@ -445,6 +445,60 @@ class TestWindowMemory:
         assert peak < 10 * series_bytes + 2048 * len(windows)
 
 
+class TestTrainingMemory:
+    """What ``train`` holds besides the parameters: Adam's two moments, one set of
+    grads, one checkpoint copy and the step's activations, and nothing after it."""
+
+    def test_peak_and_what_stays_after_training(self, monkeypatch):
+        template = BlockConfig(basis="midas", input_size=64, horizon=8, mlp_widths=(256, 256))
+        cfg = ModelConfig(stacks=(StackConfig(3, template),), input_size=64, horizon=8,
+                          base_ratio=0.5)
+        model = build_model(cfg, 0)
+        values = np.sin(np.arange(400) / 5.0) + 2.0
+        windows_train = make_windows(values[:300], 64, 8)
+        windows_val = make_windows(values[300:], 64, 8, stride=8)
+        param_bytes = sum(p.value.nbytes for p in model.params.params())
+        # the evals at iterations 2 and 6 improve, so the checkpoint is taken twice
+        scripted = iter([1.0, 2.0, 0.5])
+        val_mae = training._val_mae
+
+        def scripted_val_mae(*args):
+            val_mae(*args)
+            return next(scripted)
+
+        monkeypatch.setattr(training, "_val_mae", scripted_val_mae)
+        config = TrainConfig(iterations=6, batch_size=4, eval_every=2, seed=0)
+        tracemalloc.start()
+        try:
+            result = train(model, windows_train, windows_val, config)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [h.iteration for h in result.history] == [2, 4, 6]
+        assert result.best_iteration == 6
+        assert peak < 4.8 * param_bytes
+        assert after < 0.1 * param_bytes
+        assert all(p.grad is None for p in model.params.params())
+
+    def test_checkpoint_restores_the_best_parameters(self, monkeypatch):
+        model = LinearModel(input_size=2, horizon=1, seed=6)
+        windows = [Window(series_id="r", input=np.array([x, 1.0]), target=np.array([3 * x]),
+                          t_start=0) for x in np.linspace(-1, 1, 16)]
+        seen = []
+        scripted = iter([2.0, 1.0, 3.0, 4.0])
+
+        def scripted_val_mae(m, *args):
+            seen.append(m.params["w"].value.copy())
+            return next(scripted)
+
+        monkeypatch.setattr(training, "_val_mae", scripted_val_mae)
+        result = train(model, windows, windows[:4],
+                       TrainConfig(iterations=8, batch_size=4, eval_every=2, lr=0.1))
+        assert result.best_iteration == 4
+        assert model.params["w"].value.tobytes() == seen[1].tobytes()
+        assert not np.array_equal(seen[1], seen[3])
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -800,6 +854,18 @@ class TestEnsembles:
         batch = ensemble_forecast_batch(members, x)
         singles = np.stack([ensemble_forecast(members, row) for row in x])
         assert np.max(np.abs(batch - singles)) <= 1e-12 * np.max(np.abs(singles))
+
+    def test_single_windows_build_no_dense_interpolation_matrix(self):
+        template = BlockConfig(basis="midas", input_size=96, horizon=48, mlp_widths=(16,))
+        config = ModelConfig(stacks=(StackConfig(3, template),), input_size=96,
+                             horizon=48, base_ratio=0.5)
+        members = [build_model(config, seed) for seed in (0, 1)]
+        x = np.sin(np.arange(96) / 7.0)
+        before = ensemble_forecast(members, x)
+        engine.interpolation_matrix.cache_clear()
+        after = ensemble_forecast(members, x)
+        assert engine.interpolation_matrix.cache_info().currsize == 0
+        assert before.tobytes() == after.tobytes()
 
     def test_shape_disagreement_rejected(self):
         tn, vn = self.setup_data()
