@@ -29,10 +29,8 @@ Array = np.ndarray
 
 POOL_MODES = ("avg", "max", "stride")
 LOSS_KINDS = ("mae", "mse")
-# Steps per chunk of the banded interpolation forward (``interpolation_band``),
-# and the fewest batch rows that take it (see ``interp_upsample``).
+# Steps per chunk of the banded interpolation product (``interpolation_band``).
 BAND_STEPS = 64
-BAND_MIN_ROWS = 32
 
 
 class Tensor:
@@ -287,7 +285,7 @@ def interpolation_matrix(knots: int, horizon: int) -> Array:
 
     Row t of the returned (horizon, knots) matrix holds the blend weights of
     step t (see ``_taps``), so the map is ``theta @ M.T`` and its Jacobian is
-    exactly M.
+    exactly M. No op builds it: it is the dense reference for the band.
     """
     k1, k2, a, b = _taps(knots, horizon)
     rows = np.arange(horizon)
@@ -306,38 +304,47 @@ def interpolation_band(knots: int, horizon: int) -> tuple[tuple[int, int, int, i
     ``[lo, hi)`` spans every knot that steps ``t0..t1-1`` touch. The chunks
     tile the steps in order, and M is zero outside them.
     """
-    k1, k2, _, _ = _taps(knots, horizon)
-    m = interpolation_matrix(knots, horizon)
+    k1, k2, a, b = _taps(knots, horizon)
     chunks = []
     for t0 in range(0, horizon, BAND_STEPS):
         t1 = min(t0 + BAND_STEPS, horizon)
         lo, hi = int(k1[t0]), int(k2[t1 - 1]) + 1
-        block = m[t0:t1, lo:hi].copy()
+        rows, block = np.arange(t1 - t0), np.zeros((t1 - t0, hi - lo))
+        block[rows, k1[t0:t1] - lo] += a[t0:t1]
+        block[rows, k2[t0:t1] - lo] += b[t0:t1]
         block.setflags(write=False)
         chunks.append((t0, t1, lo, hi, block))
     return tuple(chunks)
 
 
-def project(theta, basis: Array, tape: GradientTape | None = None, band: tuple | None = None):
+def _band_backward(g: Array, band: tuple) -> Array:
+    """``g @ M`` from the band of M: a knot that two chunks share sums two products."""
+    gt = np.zeros(g.shape[:-1] + (band[-1][3],))
+    for t0, t1, lo, hi, block in band:
+        gt[..., lo:hi] += g[..., t0:t1] @ block
+    return gt
+
+
+def project(theta, basis: Array | None, tape: GradientTape | None = None,
+            band: tuple | None = None):
     """theta @ basis.T for a fixed (n_out, n_coeff) basis matrix.
 
-    ``band``, if given, is ``basis`` in the chunks of ``interpolation_band``:
-    the forward then multiplies only those blocks. The backward is ``g @ basis``
-    either way.
+    With ``band`` (the chunks of ``interpolation_band``) in place of
+    ``basis``, forward and backward multiply only its blocks.
     """
     tv = value_of(theta)
-    if tv.shape[-1] != basis.shape[1]:
-        raise ShapeError(f"projection mismatch: theta{tv.shape} basis{basis.shape}")
+    n_out, n_coeff = basis.shape if band is None else (band[-1][1], band[-1][3])
+    if tv.ndim not in (1, 2) or tv.shape[-1] != n_coeff:
+        raise ShapeError(f"projection mismatch: theta{tv.shape} basis{(n_out, n_coeff)}")
     if band is None:
         out = tv @ basis.T
     else:
-        out = np.empty(tv.shape[:-1] + (basis.shape[0],))
+        out = np.empty(tv.shape[:-1] + (n_out,))
         for t0, t1, lo, hi, block in band:
             np.matmul(tv[..., lo:hi], block.T, out=out[..., t0:t1])
 
     def backward(g):
-        gt = g @ basis
-        return (gt,)
+        return (g @ basis if band is None else _band_backward(g, band),)
 
     return _emit(out, (theta,), backward, tape, "project")
 
@@ -345,32 +352,23 @@ def project(theta, basis: Array, tape: GradientTape | None = None, band: tuple |
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
 
-    A single window (1-D ``theta``) gathers its two taps per step and builds
-    the dense M only if its backward runs. A batch of at least
-    ``BAND_MIN_ROWS`` rows multiplies by the band of the matrix
-    (``interpolation_band``): M has two nonzeros per row, so the dense product
-    spends nearly all its work on zeros. Smaller batches multiply by the dense
-    M. The backward is the dense ``g @ M`` either way.
-
-    Band and dense product agree to 2 eps of ``|theta| @ |M|.T``: BLAS blocks
-    each call by its size, and two blockings can round a step's two taps
-    differently. On the benchmark's shapes they agree bit for bit with
-    OpenBLAS's SkylakeX kernels, but not with its Haswell kernels. Small
-    batches stay dense because the band of a few rows rounds differently even
-    on SkylakeX. The backward stays dense because a banded one drifts from
-    ``g @ M`` by up to 2.3e-16 relative at long horizons.
+    M has two nonzeros per row, so nothing multiplies by the dense M: a batch
+    goes through ``project`` with the band of M (``interpolation_band``), and
+    a single window gathers its two taps per step and takes the same banded
+    backward. The band agrees with the dense product to 2 eps of
+    ``|theta| @ |M|.T`` forward; backward each knot sums its steps chunk by
+    chunk, as accurate as the dense order but not the same. Where one chunk
+    covers the horizon (H <= ``BAND_STEPS``) both are bit for bit.
     """
     tv = value_of(theta)
-    knots = tv.shape[-1]
-    if tv.ndim != 1:
-        band = interpolation_band(knots, horizon) if tv.size >= BAND_MIN_ROWS * knots else None
-        return project(theta, interpolation_matrix(knots, horizon), tape, band=band)
-    k1, k2, a, b = _taps(knots, horizon)
-
-    def backward(g):
-        return (g @ interpolation_matrix(knots, horizon),)
-
-    return _emit(a * tv[k1] + b * tv[k2], (theta,), backward, tape, "project")
+    if tv.ndim not in (1, 2):
+        raise ShapeError(f"interp_upsample expects a vector or matrix, got shape {tv.shape}")
+    band = interpolation_band(tv.shape[-1], horizon)
+    if tv.ndim == 2:
+        return project(theta, None, tape, band=band)
+    k1, k2, a, b = _taps(tv.shape[-1], horizon)
+    return _emit(a * tv[k1] + b * tv[k2], (theta,), lambda g: (_band_backward(g, band),),
+                 tape, "project")
 
 
 def loss(y, yhat, kind: str = "mae", tape: GradientTape | None = None):

@@ -236,7 +236,7 @@ class TestBatchBlocks:
     """A batch forecast runs in blocks of ``BATCH_ROWS`` rows on every usable CPU
     with OpenBLAS at one thread, so its bytes do not depend on the CPU count."""
 
-    N = 2 * training.BATCH_ROWS + 7  # the tail block is below BAND_MIN_ROWS
+    N = 2 * training.BATCH_ROWS + 7  # two full blocks and a tail block of 7 rows
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -252,7 +252,7 @@ class TestBatchBlocks:
 
     @pytest.fixture(scope="class")
     def x(self):
-        assert self.N % training.BATCH_ROWS < engine.BAND_MIN_ROWS
+        assert self.N % training.BATCH_ROWS == 7
         t = np.arange(800 + self.N)
         return np.stack([np.sin(2 * np.pi * t[i:i + 800] / 96) + 0.01 * i
                          for i in range(self.N)])
@@ -317,7 +317,7 @@ class TestBatchBlocks:
         singles = np.stack([ensemble_forecast(members, x[r]) for r in rows])
         assert np.max(np.abs(batch[rows] - singles)) <= 1e-12 * np.max(np.abs(singles))
 
-    @pytest.mark.parametrize("n", [1, 5, engine.BAND_MIN_ROWS, training.BATCH_ROWS - 1])
+    @pytest.mark.parametrize("n", [1, 5, 31, 32, training.BATCH_ROWS - 1])
     def test_fewer_rows_than_a_block(self, members, x, n):
         batch = ensemble_forecast_batch(members, x[:n])
         assert batch.shape == (n, 32)
@@ -841,9 +841,8 @@ class TestEnsembles:
             ensemble_forecast_batch(members, x)
 
     def test_batch_rows_match_single_windows_at_long_horizon(self):
-        # Single windows interpolate by a two-tap gather. Batches multiply
-        # through BLAS, by the band of the matrix from 32 rows and by the dense
-        # matrix below that (4 rows here), with the dense g @ M backward. The
+        # Single windows interpolate by a two-tap gather. Batches of any row
+        # count (4 here) multiply by the band of the matrix through BLAS. The
         # gather rounds differently, within 1e-12.
         template = BlockConfig(basis="midas", input_size=1440, horizon=720, mlp_widths=(16, 16))
         config = ModelConfig(stacks=(StackConfig(3, template),), input_size=1440,
@@ -855,17 +854,29 @@ class TestEnsembles:
         singles = np.stack([ensemble_forecast(members, row) for row in x])
         assert np.max(np.abs(batch - singles)) <= 1e-12 * np.max(np.abs(singles))
 
-    def test_single_windows_build_no_dense_interpolation_matrix(self):
-        template = BlockConfig(basis="midas", input_size=96, horizon=48, mlp_widths=(16,))
-        config = ModelConfig(stacks=(StackConfig(3, template),), input_size=96,
-                             horizon=48, base_ratio=0.5)
-        members = [build_model(config, seed) for seed in (0, 1)]
-        x = np.sin(np.arange(96) / 7.0)
-        before = ensemble_forecast(members, x)
-        engine.interpolation_matrix.cache_clear()
-        after = ensemble_forecast(members, x)
-        assert engine.interpolation_matrix.cache_info().currsize == 0
-        assert before.tobytes() == after.tobytes()
+    def test_training_and_serving_never_build_the_dense_interpolation_matrix(self, monkeypatch):
+        # H = 128 is two chunks of the band, and L = 256 pools to a 128-step
+        # backcast: every interpolation, forward and backward, at every batch
+        # size (mini-batches, the trailing row, validation) takes the band.
+        template = BlockConfig(basis="midas", input_size=256, horizon=128, mlp_widths=(16,))
+        config = ModelConfig(stacks=(StackConfig(2, template),), input_size=256,
+                             horizon=128, base_ratio=0.5)
+        ds = dataset(length=1400, period=48)
+        split = split_tail(ds, val_len=128 + 256, test_len=128 + 256)
+        tw = prepared_windows(split, "train", 256, 128, "per-series-median")
+        vw = prepared_windows(split, "val", 256, 128, "per-series-median")
+
+        def forbidden(*args):
+            raise AssertionError("the dense interpolation matrix was built")
+
+        monkeypatch.setattr(engine, "interpolation_matrix", forbidden)
+        engine.interpolation_band.cache_clear()
+        model = build_model(config, 0)
+        train(model, tw, vw, TrainConfig(iterations=4, batch_size=len(tw) - 1, eval_every=2))
+        x = np.stack([w.input for w in vw[:3]])
+        batch = ensemble_forecast_batch([model], x)
+        single = ensemble_forecast([model], x[0])
+        assert batch.shape == (3, 128) and single.shape == (128,)
 
     def test_shape_disagreement_rejected(self):
         tn, vn = self.setup_data()
