@@ -302,8 +302,7 @@ def cmd_train(args) -> int:
     shape = model_config.input_size, model_config.horizon
     train_n = _windows(config, dataset, "train", *shape)
     val_n = _windows(config, dataset, "val", *shape)
-    members = train_ensemble(model_config, train_n, val_n, train_cfg, ensemble,
-                             jobs=config.value("run", "jobs"))
+    members = train_ensemble(model_config, train_n, val_n, train_cfg, ensemble)
 
     out = Path(args.out)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -460,8 +459,7 @@ def cmd_search(args) -> int:
     budget = args.budget if args.budget is not None else config.value("search", "budget")
     dataset = _load_dataset(args, config)
     objective = search_objective(config, dataset)
-    result = search_mod.random_search(budget, objective, seed=config.value("run", "seed"),
-                                      jobs=config.value("run", "jobs"))
+    result = search_mod.random_search(budget, objective, seed=config.value("run", "seed"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out / "config.resolved")
@@ -512,7 +510,8 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", required=True, help="run config file (INI)")
         p.add_argument("--seed", type=int, default=None, help="root random seed ([run] seed)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers ([run] jobs)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="evaluate cells run at once ([run] jobs); other commands record it")
         p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")

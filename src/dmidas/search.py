@@ -57,7 +57,7 @@ class SearchResult:
     trials: list[Trial]
 
 
-def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> SearchResult:
+def random_search(budget: int, objective, seed: int = 0) -> SearchResult:
     """Evaluate ``budget`` configs from ``sample_config``; return the lowest validation MAE.
 
     ``objective(config, trial_seed)`` returns the validation MAE for one
@@ -65,7 +65,8 @@ def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> Searc
     seed. An objective's ``DmidasError`` marks the trial failed and the search
     continues; any other exception propagates. Ties go to the earliest trial.
     If every trial fails, the search raises ``ConfigError`` when every failure
-    was one, ``DataError`` likewise, and ``TrainingError`` otherwise.
+    was one, ``DataError`` likewise, and ``TrainingError`` otherwise. Trials
+    run at once, one per CPU of the calling thread (``parallel_map``).
     """
     if budget < 1:
         raise ConfigError(f"search budget must be >= 1, got {budget}")
@@ -88,7 +89,7 @@ def random_search(budget: int, objective, seed: int = 0, jobs: int = 1) -> Searc
         return (Trial(index=index, config=config, val_mae=val, seed=trial_seed,
                       status=status, wall_time=time.perf_counter() - start), cause)
 
-    outcomes = parallel_map(run_trial, drawn, jobs)
+    outcomes = parallel_map(run_trial, drawn)
     trials = [t for t, _ in outcomes]
 
     best = None

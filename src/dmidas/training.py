@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import ctypes
 import itertools
 import os
@@ -412,7 +411,7 @@ class TrainedMember:
 
 
 def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS in this process.
+    """The ``set`` thread-count function of every OpenBLAS in this process.
 
     Libraries are found by path in ``/proc/self/maps``, so the list is empty
     where that file does not exist or numpy links another BLAS.
@@ -423,7 +422,7 @@ def _openblas_thread_controls() -> list:
                             if "openblas" in line.lower()})
     except OSError:
         return []
-    controls = []
+    setters = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -431,14 +430,12 @@ def _openblas_thread_controls() -> list:
             continue
         # scipy-openblas wheels prefix the symbols; ILP64 builds suffix them
         for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "_64", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
+            if set_ is not None:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+                setters.append(set_)
                 break
-    return controls
+    return setters
 
 
 def _keep_freed_memory() -> None:
@@ -466,6 +463,11 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+# All parallelism comes from ``parallel_map``'s threads, so every OpenBLAS runs
+# at one thread for good: a product rounds alike whatever the CPU count and
+# whichever thread runs it, and no call moves the process-wide count.
+for _set_threads in _openblas_thread_controls():
+    _set_threads(1)
 
 
 def child_seed(root_seed: int, index: int) -> int:
@@ -481,62 +483,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_blas_cap_lock = threading.Lock()
-_blas_cap_held = False  # mirrors the process-wide OpenBLAS count: is one cap in force?
+_fan_out = threading.local()  # .cpus: a parallel_map worker's share of its caller's CPUs
 
 
-@contextlib.contextmanager
-def _blas_thread_cap(cap: int):
-    """Cap each OpenBLAS in the process at ``cap`` threads (never above its
-    current count) until exit, then restore its count; yields True.
-
-    The count is process-wide, so the cap holds for BLAS calls from every
-    thread. While one cap is in force, a nested or concurrent one changes
-    nothing and yields False: moving the count under running workers would
-    change how their products round midway through their work.
-    """
-    global _blas_cap_held
-    with _blas_cap_lock:
-        held, _blas_cap_held = _blas_cap_held, True
-    if held:
-        yield False
-        return
-    saved = []
-    try:
-        saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-        for set_, before in saved:
-            set_(min(before, cap))
-        yield True
-    finally:
-        for set_, before in saved:
-            set_(before)
-        with _blas_cap_lock:
-            _blas_cap_held = False
-
-
-def parallel_map(fn, items, jobs: int) -> list:
+def parallel_map(fn, items, jobs: int | None = None) -> list:
     """``[fn(x) for x in items]`` in item order, on ``min(jobs, len(items))`` threads.
 
-    This is the one fan-out behind every ``--jobs`` option and every batch
-    forecast. The workers share the process's cores: while more than one
-    runs, OpenBLAS is capped at ``usable_cpus // workers`` threads (at least
-    1; see ``_blas_thread_cap``).
+    This is the one fan-out: of ``evaluate``'s cells (``jobs`` from
+    ``--jobs``), and of ensemble members, search trials and batch forecast
+    rows (``jobs`` left out: one thread per CPU of the calling thread). The
+    calling thread's CPUs are every usable CPU, or, inside a worker, that
+    worker's share: ``max(1, cpus // workers)`` of its own caller's. So a
+    fan-out nested in workers that already fill the CPUs runs inline.
+    OpenBLAS runs at one thread everywhere (set at import).
     """
+    cpus = getattr(_fan_out, "cpus", None) or _usable_cpus()
+    jobs = cpus if jobs is None else jobs
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
-    with _blas_thread_cap(max(1, _usable_cpus() // workers)):
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, initializer=setattr,
+            initargs=(_fan_out, "cpus", max(1, cpus // workers))) as pool:
+        return list(pool.map(fn, items))
 
 
 def train_ensemble(model_config, windows_train: list[Window], windows_val: list[Window],
                    train_config: TrainConfig, ensemble: EnsembleConfig,
                    jobs: int = 1) -> list[TrainedMember]:
-    """Build and train n independent members differing only in their seed."""
+    """Build and train n independent members differing only in their seed.
+
+    The members train at once, one per CPU of the calling thread
+    (``parallel_map``), so up to that many members' working sets are held
+    together; a member's bytes depend on neither the CPU count nor where it
+    runs. ``jobs`` is accepted and unused.
+    """
     seeds = ensemble.resolved_seeds(train_config.seed)
 
     def run_member(seed: int) -> TrainedMember:
@@ -549,7 +533,7 @@ def train_ensemble(model_config, windows_train: list[Window], windows_val: list[
             raise TrainingError(f"ensemble member (seed={seed}) failed: {exc}") from exc
         return TrainedMember(model=member, result=result, seed=seed)
 
-    return parallel_map(run_member, seeds, jobs)
+    return parallel_map(run_member, seeds)
 
 
 def _member_models(members):
@@ -578,12 +562,10 @@ def ensemble_forecast(members, y_in) -> np.ndarray:
 def ensemble_forecast_batch(members, x) -> np.ndarray:
     """Mean member forecast over a (N, L) batch.
 
-    The rows are forecast in blocks of ``BATCH_ROWS`` on every usable CPU,
-    with OpenBLAS held at one thread for the whole call, so a row's bits
-    depend on neither the CPU count nor the caller's ``--jobs``. Inside a
-    fan-out that already caps OpenBLAS (``evaluate --jobs N``), the blocks
-    run one after another in the calling worker at that cap instead. Each
-    block sums its members in list order into its rows of one output.
+    The rows are forecast in blocks of ``BATCH_ROWS``, one block per CPU of
+    the calling thread at a time (``parallel_map``), so a row's bits depend
+    on neither the CPU count nor the caller's ``--jobs``. Each block sums its
+    members in list order into its rows of one output.
     """
     models = _member_models(members)
     x = np.asarray(x, dtype=np.float64)
@@ -601,8 +583,6 @@ def ensemble_forecast_batch(members, x) -> np.ndarray:
             else:
                 acc[...] = fc
 
-    with _blas_thread_cap(1) as held:
-        parallel_map(forecast_rows, range(0, len(x), BATCH_ROWS),
-                     _usable_cpus() if held else 1)
+    parallel_map(forecast_rows, range(0, len(x), BATCH_ROWS))
     out /= len(models)
     return out

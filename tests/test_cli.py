@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dmidas
-from dmidas import cli, metrics, training
+from dmidas import cli, metrics, search, training
 from dmidas.cli import (_load_members, default_run_config, load_run_config, main,
                          search_objective, write_resolved_config)
 from dmidas.data import load_csv
@@ -127,14 +127,15 @@ class TestGenerate:
 
 
 def _seen_jobs(monkeypatch) -> list:
-    """Record the ``jobs`` of every ``training.parallel_map`` call."""
+    """Record the ``jobs`` of every ``parallel_map`` call (None: one thread per CPU)."""
     seen, real = [], training.parallel_map
 
-    def spy(fn, items, jobs):
+    def spy(fn, items, jobs=None):
         seen.append(jobs)
         return real(fn, items, jobs)
 
-    monkeypatch.setattr(training, "parallel_map", spy)
+    for module in (training, metrics, search):
+        monkeypatch.setattr(module, "parallel_map", spy)
     return seen
 
 
@@ -245,14 +246,17 @@ class TestRunConfig:
         assert load_run_config(tmp_path / "config.resolved") == loaded
 
     def test_run_jobs_is_used_and_recorded(self, workspace, monkeypatch):
+        # evaluate runs [run] jobs cells at once; train fans its members out
+        # over the CPUs and only records the setting.
         tmp_path, config, data = workspace
         with_jobs = tmp_path / "jobs.ini"
         with_jobs.write_text("[run]\njobs = 2\nseed = 05\n" + open(config).read())
-        seen = _seen_jobs(monkeypatch)
-        out = tmp_path / "run"
-        assert main(["train", data, "--config", str(with_jobs), "--out", str(out)]) == 0
-        assert seen == [2]
-        assert _resolved_run(out / "config.resolved") == {"seed": "5", "jobs": "2"}
+        for command, jobs in (("evaluate", 2), ("train", None)):
+            seen = _seen_jobs(monkeypatch)
+            out = tmp_path / command
+            assert main([command, data, "--config", str(with_jobs), "--out", str(out)]) == 0
+            assert seen[0] == jobs and set(seen[1:]) <= {None}
+            assert _resolved_run(out / "config.resolved") == {"seed": "5", "jobs": "2"}
 
     def test_flags_override_the_file(self, workspace, monkeypatch):
         tmp_path, config, data = workspace
@@ -260,9 +264,9 @@ class TestRunConfig:
         with_run.write_text("[run]\njobs = 0\nseed = 3\n" + open(config).read())
         seen = _seen_jobs(monkeypatch)
         out = tmp_path / "run"
-        assert main(["train", data, "--config", str(with_run), "--out", str(out),
+        assert main(["evaluate", data, "--config", str(with_run), "--out", str(out),
                      "--jobs", "2", "--seed", "4"]) == 0
-        assert seen == [2]
+        assert seen[0] == 2
         assert _resolved_run(out / "config.resolved") == {"seed": "4", "jobs": "2"}
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dmidas import training
 from dmidas.errors import ConfigError, DataError, TrainingError
 from dmidas.search import random_search, sample_config, write_trial_log
 
@@ -108,22 +109,26 @@ class TestRandomSearch:
             random_search(3, objective, seed=6)
         assert type(raised.value) is error
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_all_failed_with_mixed_causes_is_a_training_error(self, jobs):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_all_failed_with_mixed_causes_is_a_training_error(self, monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+
         def objective(cfg, seed):
             raise (ConfigError if cfg["l1_enabled"] else DataError)("differs")
 
         with pytest.raises(TrainingError, match=r"^all 4 search trials failed; ") as raised:
-            random_search(4, objective, seed=0, jobs=jobs)
+            random_search(4, objective, seed=0)
         assert type(raised.value) is TrainingError
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_error_outside_the_package_propagates(self, jobs):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_outside_the_package_propagates(self, monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+
         def objective(cfg, seed):
             raise ValueError("a bug")
 
         with pytest.raises(ValueError, match="a bug"):
-            random_search(3, objective, seed=6, jobs=jobs)
+            random_search(3, objective, seed=6)
 
     def test_best_is_min_over_completed(self):
         result = random_search(20, lambda cfg, seed: cfg["lr"], seed=7)
@@ -140,9 +145,11 @@ class TestRandomSearch:
         assert [t.config for t in a.trials] == [t.config for t in b.trials]
         assert [t.seed for t in a.trials] == [t.seed for t in b.trials]
 
-    def test_jobs_do_not_change_selection(self):
-        a = random_search(6, lambda cfg, seed: cfg["lr"], seed=10, jobs=1)
-        b = random_search(6, lambda cfg, seed: cfg["lr"], seed=10, jobs=3)
+    def test_cpu_count_does_not_change_selection(self, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+        a = random_search(6, lambda cfg, seed: cfg["lr"], seed=10)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 3)
+        b = random_search(6, lambda cfg, seed: cfg["lr"], seed=10)
         assert a.best.config == b.best.config
         assert [t.val_mae for t in a.trials] == [t.val_mae for t in b.trials]
 

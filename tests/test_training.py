@@ -2,9 +2,11 @@
 
 import copy
 import ctypes
+import itertools
 import os
 import pickle
 import resource
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -16,9 +18,11 @@ from dmidas.data import Series, Sinusoid, SyntheticSpec, TimeSeriesDataset, gene
 from dmidas import engine
 from dmidas.engine import affine
 from dmidas.errors import ConfigError, DataError, NumericsError, TrainingError
+from dmidas.metrics import BenchmarkProtocol, ModelSpec, run_benchmark
 from dmidas.model import ModelConfig, StackConfig, build_model
 from dmidas import training
 from dmidas.params import OptimizerState, ParameterStore, adam_step
+from dmidas.search import random_search
 from dmidas.training import (NORMALIZATION_MODES, EnsembleConfig, TrainConfig, Window,
                              ensemble_forecast, ensemble_forecast_batch, make_windows,
                              median_abs_scales, normalize, parallel_map,
@@ -174,62 +178,124 @@ class TestParallelMap:
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             parallel_map(abs, [1], 0)
 
-
-USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count())
-
-
-@pytest.fixture
-def blas():
-    """The getter ``parallel_map`` reads, with the count set to every usable core."""
-    controls = training._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded in this process")
-    get, set_ = controls[0]
-    original = get()
-    set_(USABLE_CPUS)
-    yield get
-    set_(original)
-
-
-class TestBlasThreadCap:
-    """While workers run, OpenBLAS gets the cores each worker owns."""
-
-    @pytest.mark.parametrize("jobs, n_items", [(2, 4), (4, 2)])
-    def test_workers_read_the_cap_and_it_is_restored(self, blas, jobs, n_items):
-        seen = parallel_map(lambda _: blas(), range(n_items), jobs)
-        assert seen == [max(1, USABLE_CPUS // 2)] * n_items
-        assert blas() == USABLE_CPUS
-
-    def test_count_restored_after_fn_raises(self, blas):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_error_in_fn_propagates(self, jobs):
         def fail_on_one(x):
             if x == 1:
                 raise RuntimeError("boom")
             return x
 
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(fail_on_one, range(4), 2)
-        assert blas() == USABLE_CPUS
+            parallel_map(fail_on_one, range(4), jobs)
 
-    @pytest.mark.parametrize("jobs, n_items", [(1, 3), (2, 1)])
-    def test_single_worker_never_changes_the_count(self, blas, monkeypatch, jobs, n_items):
-        monkeypatch.setattr(training, "_openblas_thread_controls",
-                            lambda: pytest.fail("looked up BLAS for one worker"))
-        assert parallel_map(lambda _: blas(), range(n_items), jobs) == [USABLE_CPUS] * n_items
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_without_jobs_one_thread_per_cpu(self, monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        barrier = threading.Barrier(cpus, timeout=10)
+        # every worker waits for the others, so each item runs on its own thread
+        threads = parallel_map(lambda _: (barrier.wait(), threading.get_ident())[1],
+                               range(cpus))
+        assert len(set(threads)) == cpus
 
-    def test_no_openblas_gives_the_same_results(self, blas, monkeypatch):
+    @pytest.mark.parametrize("cpus, inner_threads", [(2, 1), (4, 2)])
+    def test_a_nested_fan_out_gets_its_workers_share(self, monkeypatch, cpus, inner_threads):
+        # Two workers on 2 CPUs leave none to spare: the nested fan-out runs
+        # inline in its worker. On 4 CPUs each worker fans out on 2 threads.
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+
+        def outer(_):
+            # each round of the barrier needs inner_threads threads at once
+            barrier = threading.Barrier(inner_threads, timeout=10)
+            inner = parallel_map(lambda _: (barrier.wait(), threading.get_ident())[1], range(4))
+            return threading.get_ident(), set(inner)
+
+        for worker, inner in parallel_map(outer, range(2), 2):
+            assert len(inner) == inner_threads
+            assert (worker in inner) == (inner_threads == 1)
+
+    def test_products_in_workers_match_serial_ones(self):
         rng = np.random.default_rng(0)
-        mats = [rng.normal(size=(64, 64)) for _ in range(4)]
+        mats = [rng.normal(size=(128, 400)) for _ in range(4)]
+        w = rng.normal(size=(400, 64))
+        fanned = parallel_map(lambda m: m @ w, mats, 2)
+        for m, got in zip(mats, fanned):
+            assert got.tobytes() == (m @ w).tobytes()
 
-        def work(m):
-            return blas(), m @ m.T
 
-        capped = parallel_map(work, mats, 2)
-        monkeypatch.setattr(training, "_openblas_thread_controls", lambda: [])
-        uncapped = parallel_map(work, mats, 2)
-        assert [n for n, _ in uncapped] == [USABLE_CPUS] * 4
-        for (_, a), (_, b) in zip(capped, uncapped):
-            np.testing.assert_array_equal(a, b)
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count())
+
+
+def openblas_threads() -> list[int]:
+    """The thread count of every OpenBLAS in this process, read through its getter."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                        if "openblas" in line.lower()})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "_64", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                counts.append(get())
+                break
+    return counts
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """Reads every OpenBLAS's thread count; the lookup that sets it fails from here on."""
+    if not training._openblas_thread_controls():
+        pytest.skip("no OpenBLAS found in this process")
+    assert len(openblas_threads()) == len(training._openblas_thread_controls())
+    monkeypatch.setattr(training, "_openblas_thread_controls",
+                        lambda: pytest.fail("looked up OpenBLAS after import"))
+    return openblas_threads
+
+
+class TestOneBlasThread:
+    """Importing ``training`` sets every OpenBLAS to one thread, and no call moves it."""
+
+    def test_import_set_one_thread(self, blas):
+        assert blas() and set(blas()) == {1}
+
+    @pytest.mark.parametrize("jobs, n_items", [(1, 3), (2, 1), (2, 4), (4, 2), (None, 3)])
+    def test_workers_read_one_thread(self, blas, jobs, n_items):
+        seen = parallel_map(lambda _: blas(), range(n_items), jobs)
+        assert seen == [blas()] * n_items == [[1] * len(blas())] * n_items
+
+    def test_nothing_is_set_without_proc_maps(self, monkeypatch):
+        def no_maps(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(training, "open", no_maps, raising=False)
+        assert training._openblas_thread_controls() == []
+
+    def test_training_serving_benchmarks_and_search_leave_it_at_one(self, blas, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 4)
+        ds = dataset(length=150, ids=("a", "b"))
+        split = split_tail(ds, 20, 20)
+        tw = prepared_windows(split, "train", 12, 4, "per-series-median")
+        vw = prepared_windows(split, "val", 12, 4, "per-series-median")
+        template = BlockConfig(basis="midas", input_size=12, horizon=4, mlp_widths=(8,))
+        config = ModelConfig(stacks=(StackConfig(1, template),), input_size=12, horizon=4,
+                             base_ratio=0.5)
+        cfg = TrainConfig(iterations=6, batch_size=16, eval_every=3)
+        members = train_ensemble(config, tw, vw, cfg, EnsembleConfig(n_members=3))
+        assert set(blas()) == {1}
+        ensemble_forecast_batch(members, np.stack([w.input for w in tw]))
+        assert set(blas()) == {1}
+        protocol = BenchmarkProtocol(val_len=20, test_len=20, train=cfg,
+                                     ensemble=EnsembleConfig(n_members=2))
+        specs = [ModelSpec("dmidas", "dmidas", blocks_per_stack=1, mlp_widths=(8,)),
+                 ModelSpec("naive", "seasonal-naive", period=12)]
+        report = run_benchmark(ds, specs, [4], protocol, seed=3, jobs=2)
+        assert not report.incomplete
+        assert set(blas()) == {1}
+        random_search(3, lambda c, seed: train(build_model(config, seed), tw, vw,
+                                               replace(cfg, lr=c["lr"])).best_val_mae)
+        assert set(blas()) == {1}
 
 
 class TestBatchBlocks:
@@ -277,38 +343,60 @@ class TestBatchBlocks:
             out[cpus] = ensemble_forecast_batch(members, x).tobytes()
         assert out[1] == out[2] == out[3]
 
+    @pytest.fixture(scope="class")
+    def windows(self):
+        ds = dataset(length=1400, period=96)
+        split = split_tail(ds, val_len=64, test_len=0)
+        return (prepared_windows(split, "train", 800, 32, "per-series-median"),
+                prepared_windows(split, "val", 800, 32, "per-series-median"))
+
+    def test_trained_bytes_do_not_depend_on_the_cpu_count(self, config, windows, monkeypatch):
+        cfg = TrainConfig(iterations=4, batch_size=128, eval_every=2, seed=3)
+        out = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            members = train_ensemble(config, *windows, cfg, EnsembleConfig(n_members=3))
+            out[cpus] = [p.value.tobytes() for m in members for _, p in m.model.params.items()]
+        assert out[1] == out[2] == out[3]
+
+    def test_search_bytes_do_not_depend_on_the_cpu_count(self, config, windows, monkeypatch):
+        def objective(c, seed):
+            cfg = TrainConfig(lr=c["lr"], iterations=2, batch_size=128, eval_every=1)
+            return train(build_model(config, seed), *windows, cfg).best_val_mae
+
+        out = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            out[cpus] = [t.val_mae.hex() for t in random_search(3, objective, seed=4).trials]
+        assert out[1] == out[2] == out[3]
+
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_openblas_runs_at_one_thread_and_is_restored(self, blas, members, x,
-                                                         monkeypatch, cpus):
+    def test_openblas_runs_at_one_thread(self, blas, members, x, monkeypatch, cpus):
         monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
         seen = self.spy(monkeypatch, members[1], blas)
         ensemble_forecast_batch(members, x)
-        assert seen == [1] * 3
-        assert blas() == USABLE_CPUS
+        assert seen == [[1] * len(blas())] * 3
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_count_restored_after_a_member_raises(self, blas, config, members, x,
-                                                  monkeypatch, cpus):
+    def test_a_member_error_propagates_and_the_next_call_runs(self, blas, config, members, x,
+                                                             monkeypatch, cpus):
         monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
         broken = build_model(config, 2)
         broken.params["s0.b0.mlp0.weight"].value[0, 0] = np.nan
         with pytest.raises(NumericsError):
             ensemble_forecast_batch([members[0], broken], x)
-        assert blas() == USABLE_CPUS
         seen = self.spy(monkeypatch, members[1], blas)
         ensemble_forecast_batch(members, x[:40])
-        assert seen == [1]
+        assert seen == [[1] * len(blas())]
 
-    def test_inside_a_capped_fan_out_the_count_stays(self, blas, members, x, monkeypatch):
-        # Two workers on twice the usable CPUs keep OpenBLAS at every usable core.
-        # Moving that process-wide count would change how the sibling worker's
-        # products round midway.
+    def test_inside_a_fan_out_the_bytes_and_count_stay(self, blas, members, x, monkeypatch):
+        # Two workers on twice the usable CPUs: each worker's blocks run on
+        # its own share of the CPUs, at one OpenBLAS thread like every call.
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2 * USABLE_CPUS)
         seen = self.spy(monkeypatch, members[1], blas)
         fcs = parallel_map(lambda _: ensemble_forecast_batch(members, x), range(2), 2)
-        assert seen == [USABLE_CPUS] * 6
-        assert blas() == USABLE_CPUS
-        assert fcs[0].tobytes() == fcs[1].tobytes()
+        assert seen == [[1] * len(blas())] * 6
+        assert fcs[0].tobytes() == fcs[1].tobytes() == ensemble_forecast_batch(members, x).tobytes()
 
     def test_rows_match_single_windows_across_block_boundaries(self, members, x):
         batch = ensemble_forecast_batch(members, x)
@@ -807,18 +895,6 @@ class TestEnsembles:
             train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
                            EnsembleConfig(n_members=2), jobs=2)
         assert info.value is error
-
-    def test_parallel_training_without_openblas_cap_matches(self, monkeypatch):
-        tn, vn = self.setup_data()
-        capped = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
-                                EnsembleConfig(n_members=2), jobs=2)
-        monkeypatch.setattr(training, "_openblas_thread_controls", lambda: [])
-        uncapped = train_ensemble(self.model_config(), tn, vn, self.train_cfg(),
-                                  EnsembleConfig(n_members=2), jobs=2)
-        for a, b in zip(capped, uncapped):
-            for name in a.model.params.names():
-                assert np.array_equal(a.model.params[name].value,
-                                      b.model.params[name].value)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_member_failure_names_seed(self):

@@ -8,11 +8,14 @@ imported ahead of any other. DIR must be new or empty. The commands run in
 one process, in DIR, with relative paths, and every command's stdout goes to
 a ``.stdout`` file beside its outputs:
 
-- ``generate`` of two synthetic series, merged into one two-series CSV;
-- for each of three variants (``per-series-median`` with ``avg`` pooling,
-  ``per-window-last`` with ``max`` pooling, ``none`` with ``avg`` pooling):
-  ``train``, ``evaluate`` over dmidas, nbeats-i, mlp and seasonal-naive,
-  ``evaluate --checkpoints``, ``forecast`` and ``decompose``;
+- ``generate`` of two synthetic series, merged into one two-series CSV, and
+  of a third, longer series in a CSV of its own;
+- for each of three variants on the merged CSV (``per-series-median`` with
+  ``avg`` pooling, ``per-window-last`` with ``max`` pooling, ``none`` with
+  ``avg`` pooling) and one on the long series (``long-800``: 800 lags,
+  batches of 128 and 64-wide layers): ``train``, ``evaluate`` over dmidas,
+  nbeats-i, mlp and seasonal-naive, ``evaluate --checkpoints``, ``forecast``
+  and ``decompose``;
 - ``search --budget 2`` and ``param-count`` on the first variant.
 
 ``--jobs`` goes to every command that takes it. ``trials.jsonl`` is digested
@@ -35,33 +38,41 @@ import os
 import sys
 from pathlib import Path
 
+# name: (length, components); every series but "long" is merged into data.csv
 SPECS = {
-    "fast": [{"kind": "sinusoid", "period": 12, "amplitude": 3.0},
-             {"kind": "noise", "sigma": 0.1}],
-    "slow": [{"kind": "sinusoid", "period": 24, "amplitude": 2.0},
-             {"kind": "linear_trend", "slope": 0.01},
-             {"kind": "noise", "sigma": 0.2}],
+    "fast": (240, [{"kind": "sinusoid", "period": 12, "amplitude": 3.0},
+                   {"kind": "noise", "sigma": 0.1}]),
+    "slow": (240, [{"kind": "sinusoid", "period": 24, "amplitude": 2.0},
+                   {"kind": "linear_trend", "slope": 0.01},
+                   {"kind": "noise", "sigma": 0.2}]),
+    "long": (1200, [{"kind": "sinusoid", "period": 96, "amplitude": 2.0},
+                    {"kind": "noise", "sigma": 0.1}]),
 }
+MERGED = ("fast", "slow")
 
+# tag: (data CSV, normalization, pooling, input_size, batch_size, mlp_widths)
 VARIANTS = {
-    "median-avg": ("per-series-median", "avg"),
-    "last-max": ("per-window-last", "max"),
-    "none-avg": ("none", "avg"),
+    "median-avg": ("data.csv", "per-series-median", "avg", 24, 16, "16,16"),
+    "last-max": ("data.csv", "per-window-last", "max", 24, 16, "16,16"),
+    "none-avg": ("data.csv", "none", "avg", 24, 16, "16,16"),
+    # The first block pools 800 lags to 400, and OpenBLAS rounds a
+    # 128 x 400 @ 400 x 64 product differently at one and at two threads.
+    "long-800": ("long.csv", "per-series-median", "avg", 800, 128, "64,64"),
 }
 
 CONFIG = """\
 [model]
 kind = dmidas
-input_size = 24
+input_size = {input_size}
 horizon = 8
 blocks_per_stack = 2
-mlp_widths = 16,16
+mlp_widths = {widths}
 base_ratio = 0.5
 pooling_mode = {pooling}
 
 [training]
 iterations = 30
-batch_size = 16
+batch_size = {batch_size}
 eval_every = 10
 normalization = {normalization}
 
@@ -86,8 +97,8 @@ def commands(jobs: int) -> list[tuple[str, list[str]]]:
     to the output directory."""
     run = ["--jobs", str(jobs)]
     steps = []
-    for tag in VARIANTS:
-        common = ["data.csv", "--config", f"{tag}.ini", "--seed", "5"] + run
+    for tag, (data, *_) in VARIANTS.items():
+        common = [data, "--config", f"{tag}.ini", "--seed", "5"] + run
         steps += [
             (f"{tag}/train", ["train", *common, "--out", f"{tag}/train"]),
             (f"{tag}/evaluate", ["evaluate", *common, "--out", f"{tag}/evaluate"]),
@@ -122,19 +133,20 @@ def run_all(cli, steps) -> bool:
 
 
 def write_inputs() -> None:
-    for name, components in SPECS.items():
-        spec = {"name": name, "length": 240, "seed": 2, "components": components}
+    for name, (length, components) in SPECS.items():
+        spec = {"name": name, "length": length, "seed": 2, "components": components}
         Path(f"{name}.json").write_text(json.dumps(spec))
-    for tag, (normalization, pooling) in VARIANTS.items():
-        Path(f"{tag}.ini").write_text(CONFIG.format(normalization=normalization,
-                                                    pooling=pooling))
+    for tag, (_, normalization, pooling, input_size, batch_size, widths) in VARIANTS.items():
+        Path(f"{tag}.ini").write_text(CONFIG.format(
+            normalization=normalization, pooling=pooling, input_size=input_size,
+            batch_size=batch_size, widths=widths))
         Path(tag).mkdir()
 
 
 def merge_series() -> None:
-    """One CSV holding every generated series, in SPECS order."""
+    """One CSV holding the MERGED series, in that order."""
     lines = []
-    for name in SPECS:
+    for name in MERGED:
         rows = Path(f"{name}.csv").read_text().splitlines(keepends=True)
         lines += rows if not lines else rows[1:]
     Path("data.csv").write_text("".join(lines))
