@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .engine import GradientTape, interp_upsample, project
 from .errors import ConfigError
-from .params import ParameterStore, register_affine
+from .params import ParameterStore, apply_affine, register_affine
 
 
 def knot_count(ratio: float, n: int) -> int:
@@ -200,13 +200,9 @@ class Block:
             pool = cfg.pooling
             h = engine.pool1d(h, pool.kernel, pool.effective_stride, pool.mode, tape)
         for i in range(len(cfg.mlp_widths)):
-            name = f"{self.prefix}.mlp{i}"
-            h = engine.relu(engine.affine(h, store[f"{name}.weight"], store[f"{name}.bias"], tape), tape)
-        theta_f = engine.affine(h, store[f"{self.prefix}.theta_f.weight"],
-                                store[f"{self.prefix}.theta_f.bias"], tape)
-        theta_b = (engine.affine(h, store[f"{self.prefix}.theta_b.weight"],
-                                 store[f"{self.prefix}.theta_b.bias"], tape)
-                   if backcast else None)
+            h = engine.relu(apply_affine(store, f"{self.prefix}.mlp{i}", h, tape), tape)
+        theta_f = apply_affine(store, f"{self.prefix}.theta_f", h, tape)
+        theta_b = apply_affine(store, f"{self.prefix}.theta_b", h, tape) if backcast else None
         basis = BASES[cfg.basis]
         forecast = basis(theta_f, cfg.horizon, tape)  # theta_f first: the tape's order
         return BlockOutput(backcast=basis(theta_b, cfg.input_size, tape) if backcast else None,

@@ -325,37 +325,34 @@ def _band_backward(g: Array, band: tuple) -> Array:
     return gt
 
 
-def project(theta, basis: Array | None, tape: GradientTape | None = None,
-            band: tuple | None = None):
-    """theta @ basis.T for a fixed (n_out, n_coeff) basis matrix.
+def project(theta, basis, tape: GradientTape | None = None):
+    """theta @ M.T for a fixed (n_out, n_coeff) matrix M, given as ``basis``.
 
-    With ``band`` (the chunks of ``interpolation_band``) in place of
-    ``basis``, forward and backward multiply only its blocks.
+    ``basis`` is M itself or its band: chunks ``(t0, t1, lo, hi, M[t0:t1, lo:hi])``
+    that tile the output steps in order, with M zero outside them, such as
+    ``interpolation_band`` returns. A matrix is its own one-chunk band
+    ``((0, n_out, 0, n_coeff, M),)``. Forward and backward multiply only the
+    chunks; with one chunk they are ``theta @ M.T`` and ``g @ M`` bit for bit.
     """
     tv = value_of(theta)
-    n_out, n_coeff = basis.shape if band is None else (band[-1][1], band[-1][3])
+    if isinstance(basis, np.ndarray):
+        basis = ((0, basis.shape[0], 0, basis.shape[1], basis),)
+    n_out, n_coeff = basis[-1][1], basis[-1][3]
     if tv.ndim not in (1, 2) or tv.shape[-1] != n_coeff:
         raise ShapeError(f"projection mismatch: theta{tv.shape} basis{(n_out, n_coeff)}")
-    if band is None:
-        out = tv @ basis.T
-    else:
-        out = np.empty(tv.shape[:-1] + (n_out,))
-        for t0, t1, lo, hi, block in band:
-            np.matmul(tv[..., lo:hi], block.T, out=out[..., t0:t1])
-
-    def backward(g):
-        return (g @ basis if band is None else _band_backward(g, band),)
-
-    return _emit(out, (theta,), backward, tape, "project")
+    out = np.empty(tv.shape[:-1] + (n_out,))
+    for t0, t1, lo, hi, block in basis:
+        np.matmul(tv[..., lo:hi], block.T, out=out[..., t0:t1])
+    return _emit(out, (theta,), lambda g: (_band_backward(g, basis),), tape, "project")
 
 
 def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
     """Stretch coefficients over ``horizon`` steps by piecewise-linear interpolation.
 
     M has two nonzeros per row, so nothing multiplies by the dense M: a batch
-    goes through ``project`` with the band of M (``interpolation_band``), and
-    a single window gathers its two taps per step and takes the same banded
-    backward. The band agrees with the dense product to 2 eps of
+    goes through ``project`` with the band of M (``interpolation_band``) as its
+    basis, and a single window gathers its two taps per step and takes the
+    same banded backward. The band agrees with the dense product to 2 eps of
     ``|theta| @ |M|.T`` forward; backward each knot sums its steps chunk by
     chunk, as accurate as the dense order but not the same. Where one chunk
     covers the horizon (H <= ``BAND_STEPS``) both are bit for bit.
@@ -365,7 +362,7 @@ def interp_upsample(theta, horizon: int, tape: GradientTape | None = None):
         raise ShapeError(f"interp_upsample expects a vector or matrix, got shape {tv.shape}")
     band = interpolation_band(tv.shape[-1], horizon)
     if tv.ndim == 2:
-        return project(theta, None, tape, band=band)
+        return project(theta, band, tape)
     k1, k2, a, b = _taps(tv.shape[-1], horizon)
     return _emit(a * tv[k1] + b * tv[k2], (theta,), lambda g: (_band_backward(g, band),),
                  tape, "project")
@@ -402,28 +399,22 @@ def loss(y, yhat, kind: str = "mae", tape: GradientTape | None = None):
     return _emit(out, (y, yhat), backward, tape, f"loss[{kind}]", kink_margin=margin)
 
 
-def add(a, b, tape: GradientTape | None = None):
-    """Elementwise sum of two same-shaped values."""
+def _elementwise(name: str, op, a, b, tape: GradientTape | None, backward):
+    """``op(a, b)`` of two same-shaped values, recorded as ``name``."""
     av, bv = value_of(a), value_of(b)
     if av.shape != bv.shape:
-        raise ShapeError(f"add shape mismatch: {av.shape} vs {bv.shape}")
+        raise ShapeError(f"{name} shape mismatch: {av.shape} vs {bv.shape}")
+    return _emit(op(av, bv), (a, b), backward, tape, name)
 
-    def backward(g):
-        return g, g
 
-    return _emit(av + bv, (a, b), backward, tape, "add")
+def add(a, b, tape: GradientTape | None = None):
+    """Elementwise sum of two same-shaped values."""
+    return _elementwise("add", np.add, a, b, tape, lambda g: (g, g))
 
 
 def sub(a, b, tape: GradientTape | None = None):
     """Elementwise difference of two same-shaped values."""
-    av, bv = value_of(a), value_of(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"sub shape mismatch: {av.shape} vs {bv.shape}")
-
-    def backward(g):
-        return g, -g
-
-    return _emit(av - bv, (a, b), backward, tape, "sub")
+    return _elementwise("sub", np.subtract, a, b, tape, lambda g: (g, -g))
 
 
 def tsum(x, tape: GradientTape | None = None):

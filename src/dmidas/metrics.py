@@ -17,26 +17,25 @@ from .training import (EnsembleConfig, TrainConfig, child_seed, denormalize_fore
                        split_tail, train_ensemble)
 
 
-def mae(y, yhat) -> float:
-    """Mean absolute error."""
+def _error(name: str, y, yhat) -> np.ndarray:
+    """``y - yhat`` as float64, for same-shaped non-empty inputs of ``name``."""
     yv = np.asarray(y, dtype=np.float64)
     hv = np.asarray(yhat, dtype=np.float64)
     if yv.shape != hv.shape:
-        raise ShapeError(f"mae length mismatch: {yv.shape} vs {hv.shape}")
+        raise ShapeError(f"{name} length mismatch: {yv.shape} vs {hv.shape}")
     if yv.size == 0:
-        raise ShapeError("mae of empty vectors is undefined")
-    return float(np.mean(np.abs(yv - hv)))
+        raise ShapeError(f"{name} of empty vectors is undefined")
+    return yv - hv
+
+
+def mae(y, yhat) -> float:
+    """Mean absolute error."""
+    return float(np.mean(np.abs(_error("mae", y, yhat))))
 
 
 def rmse(y, yhat) -> float:
     """Root mean squared error."""
-    yv = np.asarray(y, dtype=np.float64)
-    hv = np.asarray(yhat, dtype=np.float64)
-    if yv.shape != hv.shape:
-        raise ShapeError(f"rmse length mismatch: {yv.shape} vs {hv.shape}")
-    if yv.size == 0:
-        raise ShapeError("rmse of empty vectors is undefined")
-    return float(np.sqrt(np.mean((yv - hv) ** 2)))
+    return float(np.sqrt(np.mean(_error("rmse", y, yhat) ** 2)))
 
 
 def seasonal_naive_forecast(y_in, horizon: int, period: int) -> np.ndarray:

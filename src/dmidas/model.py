@@ -18,7 +18,7 @@ from . import engine
 from .blocks import Block, BlockConfig, PoolSpec
 from .engine import GradientTape
 from .errors import ConfigError, DataError
-from .params import ParameterStore, fan_in_init, register_affine
+from .params import ParameterStore, apply_affine, fan_in_init, register_affine
 
 CHECKPOINT_VERSION = 1
 
@@ -282,9 +282,8 @@ class MlpForecaster:
     def forward_batch(self, x, tape: GradientTape | None = None, collect: bool = False):
         h = x
         for i in range(len(self.config.widths)):
-            h = engine.relu(engine.affine(h, self.params[f"mlp{i}.weight"],
-                                          self.params[f"mlp{i}.bias"], tape), tape)
-        forecast = engine.affine(h, self.params["out.weight"], self.params["out.bias"], tape)
+            h = engine.relu(apply_affine(self.params, f"mlp{i}", h, tape), tape)
+        forecast = apply_affine(self.params, "out", h, tape)
         return forecast, ([forecast] if collect else []), []
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import GradientTape, Tensor, _emit
+from .engine import GradientTape, Tensor, _emit, affine
 from .errors import ConfigError, TrainingError
 
 PARAM_KINDS = ("weight", "bias")
@@ -96,6 +96,11 @@ def register_affine(store: ParameterStore, layers, init) -> None:
         store.add(f"{name}.weight", init(f"{name}.weight", fan_in, (fan_in, fan_out)),
                   kind="weight")
         store.add(f"{name}.bias", init(f"{name}.bias", fan_in, (fan_out,)), kind="bias")
+
+
+def apply_affine(store: ParameterStore, name: str, x, tape: GradientTape | None = None):
+    """``x @ weight + bias`` through the layer that ``register_affine`` added as ``name``."""
+    return affine(x, store[f"{name}.weight"], store[f"{name}.bias"], tape)
 
 
 def l1_penalty(store: ParameterStore, lam: float, tape: GradientTape | None = None):

@@ -105,12 +105,17 @@ def _view_window(buf: np.ndarray, pos: int, input_size: int, horizon: int,
     return w
 
 
+def _check_window_sizes(input_size: int, horizon: int, stride: int) -> None:
+    """Every window builder's first check, made whatever its series or regions hold."""
+    for name, size in (("input_size", input_size), ("horizon", horizon), ("stride", stride)):
+        if size < 1:
+            raise ConfigError(f"{name} must be >= 1, got {size}")
+
+
 def _cut_windows(values, t0: int, input_size: int, horizon: int, stride: int,
                  series_id: str) -> list[Window]:
     """Windows at t0, t0 + stride, ... of ``values`` (whose first point is time
     t0), as views into one read-only float64 copy of it."""
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
     buf = np.array(values, dtype=np.float64)
     buf.flags.writeable = False
     return [_view_window(buf, pos, input_size, horizon, series_id=series_id, t_start=t0 + pos)
@@ -120,6 +125,7 @@ def _cut_windows(values, t0: int, input_size: int, horizon: int, stride: int,
 def make_windows(values, input_size: int, horizon: int, stride: int = 1,
                  series_id: str = "series") -> list[Window]:
     """All windows starting at 0, stride, 2*stride, ... that fit in the series."""
+    _check_window_sizes(input_size, horizon, stride)
     if len(values) < input_size + horizon:
         raise DataError(f"series '{series_id}' too short for windows: "
                         f"length {len(values)} < {input_size + horizon}")
@@ -150,6 +156,7 @@ class SplitDataset:
         return out
 
     def _holdout_windows(self, input_size, horizon, stride, lo_attr) -> list[Window]:
+        _check_window_sizes(input_size, horizon, stride)
         out = []
         for sp in self.splits:
             lo = sp.train_end if lo_attr == "val" else sp.val_end
@@ -219,7 +226,9 @@ def normalize(windows: list[Window], mode: str,
             normalized.append(w if w._view else replace(w, input=w.input.copy(),
                                                           target=w.target.copy()))
         elif mode == "per-series-median":
-            s = scales[w.series_id]
+            s = scales.get(w.series_id)
+            if s is None:
+                raise ConfigError(f"no per-series scale for series '{w.series_id}'")
             if w._view:
                 buf, pos = w._view
                 if id(buf) not in divided:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmidas import engine
+from dmidas.blocks import harmonic_matrix, polynomial_matrix
 from dmidas.engine import (BAND_STEPS, GradientTape, Tensor, affine, grad_check,
                            interp_upsample, interpolation_band, interpolation_matrix,
                            loss, pool1d, project, relu)
@@ -362,7 +363,7 @@ class TestInterpUpsample:
 
     @pytest.mark.parametrize("op", [lambda x: interp_upsample(x, 4),
                                     lambda x: project(x, np.ones((4, 1))),
-                                    lambda x: project(x, None, band=interpolation_band(1, 4))],
+                                    lambda x: project(x, interpolation_band(1, 4))],
                              ids=["interp_upsample", "project", "project_band"])
     @pytest.mark.parametrize("shape", [(), (2, 2, 1)])
     def test_scalars_and_3d_arrays_are_shape_errors(self, op, shape):
@@ -413,7 +414,7 @@ def band_case(rows, knots, horizon):
     m = interpolation_matrix(knots, horizon)
     rng = np.random.default_rng(rows * 7919 + knots)
     theta = rng.normal(size=(rows, knots)) * 10.0 ** rng.uniform(-3, 3)
-    return m, theta, project(theta, None, band=interpolation_band(knots, horizon))
+    return m, theta, project(theta, interpolation_band(knots, horizon))
 
 
 def banded_vjp(g, knots, horizon):
@@ -501,8 +502,8 @@ class TestInterpolationBand:
             tape = GradientTape()
             out = interp_upsample(theta, horizon, tape)
             tape.backward(out, seed=g)
-            assert np.array_equal(out.value, project(theta.value, None,
-                                                     band=interpolation_band(knots, horizon)))
+            assert np.array_equal(out.value, project(theta.value,
+                                                     interpolation_band(knots, horizon)))
             assert np.array_equal(theta.grad, banded_vjp(g, knots, horizon)), rows
             tol = 2 * EPS * (np.abs(theta.value) @ np.abs(m).T)
             assert np.all(np.abs(out.value - theta.value @ m.T) <= tol), rows
@@ -519,10 +520,21 @@ class TestInterpolationBand:
         tape = GradientTape()
         out = interp_upsample(theta, horizon, tape)
         assert [e.name for e in tape.entries] == ["project"]
-        assert np.array_equal(out.value, project(theta.value, None,
-                                                 band=interpolation_band(knots, horizon)))
+        assert np.array_equal(out.value, project(theta.value,
+                                                 interpolation_band(knots, horizon)))
         tape.backward(out, seed=g)
         assert np.array_equal(theta.grad, banded_vjp(g, knots, horizon))
+
+
+# The N-BEATS-I bases at forecast and backcast lengths of the acceptance and
+# long-horizon-serve shapes.
+DENSE_BASES = [(kind, size, n) for kind, size in [("polynomial", 2), ("polynomial", 3),
+                                                  ("harmonic", 4)]
+               for n in (96, 720, 1440)]
+
+
+def dense_basis(kind, size, n):
+    return polynomial_matrix(size, n) if kind == "polynomial" else harmonic_matrix(size, n)
 
 
 class TestProject:
@@ -531,6 +543,43 @@ class TestProject:
         theta = rng.normal(size=(3, 4))
         basis = rng.normal(size=(6, 4))
         np.testing.assert_allclose(project(theta, basis), theta @ basis.T)
+
+    @pytest.mark.parametrize("kind,size,n", DENSE_BASES)
+    @pytest.mark.parametrize("rows", [None, 1, 7, 128, 865])
+    def test_dense_basis_is_the_dense_product_bit_for_bit(self, kind, size, n, rows):
+        # A matrix is its own one-chunk band: one matmul forward, one backward.
+        basis = dense_basis(kind, size, n)
+        shape = (basis.shape[1],) if rows is None else (rows, basis.shape[1])
+        rng = np.random.default_rng(n + size)
+        theta = Tensor(rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3))
+        g = rng.normal(size=shape[:-1] + (n,))
+        tape = GradientTape()
+        out = project(theta, basis, tape)
+        tape.backward(out, seed=g)
+        assert np.array_equal(out.value, theta.value @ basis.T)
+        assert np.array_equal(theta.grad, g @ basis)
+
+    @pytest.mark.parametrize("kind,size,n", DENSE_BASES)
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_dense_basis_and_its_one_chunk_band_agree(self, kind, size, n, rows):
+        basis = dense_basis(kind, size, n)
+        shape = (basis.shape[1],) if rows is None else (rows, basis.shape[1])
+        theta_v = np.random.default_rng(size).normal(size=shape)
+        g = np.random.default_rng(n).normal(size=shape[:-1] + (n,))
+        results = []
+        for b in (basis, ((0, n, 0, basis.shape[1], basis),)):
+            theta, tape = Tensor(theta_v), GradientTape()
+            out = project(theta, b, tape)
+            assert [e.name for e in tape.entries] == ["project"]
+            tape.backward(out, seed=g)
+            results.append((out.value.tobytes(), theta.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"theta\(3,\) basis\(6, 4\)"):
+            project(np.ones(3), np.ones((6, 4)))
+        with pytest.raises(ShapeError, match=r"theta\(2, 5\) basis\(8, 4\)"):
+            project(np.ones((2, 5)), interpolation_band(4, 8))
 
     def test_grad_matches_finite_differences(self):
         basis = np.random.default_rng(12).normal(size=(6, 4))
@@ -585,6 +634,32 @@ class TestLoss:
         out = loss(y, yhat, "mae", tape)
         tape.backward(out)
         np.testing.assert_array_equal(yhat.grad, [0.0, 0.0])
+
+
+class TestAddSub:
+    @pytest.mark.parametrize("op,name,sign", [(engine.add, "add", 1.0),
+                                              (engine.sub, "sub", -1.0)])
+    def test_value_entry_and_adjoints(self, op, name, sign):
+        a, b = Tensor([1.0, -2.0, 0.5]), Tensor([0.25, 4.0, -3.0])
+        tape = GradientTape()
+        out = op(a, b, tape)
+        assert [e.name for e in tape.entries] == [name]
+        assert np.array_equal(out.value, a.value + sign * b.value)
+        g = np.array([1.0, -0.5, 2.0])
+        tape.backward(out, seed=g)
+        assert np.array_equal(a.grad, g)
+        assert np.array_equal(b.grad, sign * g)
+
+    @pytest.mark.parametrize("op,name", [(engine.add, "add"), (engine.sub, "sub")])
+    def test_shape_mismatch_names_the_op(self, op, name):
+        with pytest.raises(ShapeError, match=rf"^{name} shape mismatch: \(2,\) vs \(3,\)$"):
+            op(Tensor(np.ones(2)), np.ones(3))
+
+    @pytest.mark.parametrize("op", [engine.add, engine.sub])
+    def test_constants_do_not_record(self, op):
+        tape = GradientTape()
+        assert isinstance(op(np.ones(2), np.ones(2), tape), np.ndarray)
+        assert len(tape) == 0
 
 
 class TestTapeMechanics:

@@ -40,6 +40,17 @@ class TestMae:
             mae(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("fn,name", [(mae, "mae"), (rmse, "rmse")])
+class TestInputChecks:
+    def test_length_mismatch_names_the_function(self, fn, name):
+        with pytest.raises(ShapeError, match=rf"^{name} length mismatch: \(3,\) vs \(4,\)$"):
+            fn(np.ones(3), np.ones(4))
+
+    def test_empty_vectors_name_the_function(self, fn, name):
+        with pytest.raises(ShapeError, match=f"^{name} of empty vectors is undefined$"):
+            fn([], [])
+
+
 class TestRmse:
     def test_perfect(self):
         assert rmse(np.ones(4), np.ones(4)) == 0.0

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dmidas.engine import GradientTape, grad_check
+from dmidas.engine import GradientTape, affine, grad_check
 from dmidas.errors import ConfigError, TrainingError
-from dmidas.params import (OptimizerState, ParameterStore, adam_step, l1_penalty,
-                           uniform_fan_in)
+from dmidas.params import (OptimizerState, ParameterStore, adam_step, apply_affine,
+                           fan_in_init, l1_penalty, register_affine, uniform_fan_in)
 
 
 def make_store(values):
@@ -43,6 +43,35 @@ class TestParameterStore:
         rng = np.random.default_rng(0)
         vals = uniform_fan_in(rng, 16, (1000,))
         assert np.all(np.abs(vals) <= 0.25)
+
+
+class TestAffineLayers:
+    def store(self):
+        store = ParameterStore()
+        register_affine(store, [("s0.mlp0", 3, 5), ("out", 5, 2)],
+                        fan_in_init(np.random.default_rng(0)))
+        return store
+
+    def test_registers_a_weight_and_a_bias_per_layer(self):
+        store = self.store()
+        assert store.names() == ["s0.mlp0.weight", "s0.mlp0.bias", "out.weight", "out.bias"]
+        assert [p.kind for p in store.params()] == ["weight", "bias"] * 2
+        assert store["s0.mlp0.weight"].shape == (3, 5) and store["out.bias"].shape == (2,)
+
+    def test_apply_is_the_affine_of_the_named_layer(self):
+        store = self.store()
+        x = np.random.default_rng(1).normal(size=(4, 3))
+        tape = GradientTape()
+        out = apply_affine(store, "s0.mlp0", x, tape)
+        want = affine(x, store["s0.mlp0.weight"].value, store["s0.mlp0.bias"].value)
+        assert np.array_equal(out.value, want)
+        assert [e.name for e in tape.entries] == ["affine"]
+        tape.backward(out)
+        assert store["s0.mlp0.weight"].grad is not None and store["out.weight"].grad is None
+
+    def test_missing_layer_names_its_weight(self):
+        with pytest.raises(ConfigError, match=r"missing parameter 'mlp9\.weight'"):
+            apply_affine(self.store(), "mlp9", np.ones(3))
 
 
 class TestL1Penalty:

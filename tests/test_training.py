@@ -80,6 +80,24 @@ class TestMakeWindows:
             assert w.target[0] == w.input[-1] + 1
             assert w.target_start == w.t_start + 4
 
+    @pytest.mark.parametrize("input_size,horizon,name", [(-3, 2, "input_size"),
+                                                         (0, 2, "input_size"),
+                                                         (4, 0, "horizon"),
+                                                         (4, -1, "horizon")])
+    def test_sizes_below_one_rejected(self, input_size, horizon, name):
+        # Slicing with such sizes cut windows with negative or empty spans.
+        size = input_size if name == "input_size" else horizon
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {size}$"):
+            make_windows(np.arange(30.0), input_size, horizon)
+        # Checked before the series length, which these sizes cannot fit.
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            make_windows(np.arange(1.0), input_size, horizon)
+
+    def test_stride_below_one_rejected_before_the_length(self):
+        for values in (np.arange(30.0), np.arange(1.0)):
+            with pytest.raises(ConfigError, match="^stride must be >= 1, got 0$"):
+                make_windows(values, 4, 2, stride=0)
+
 
 class TestSplitTail:
     def test_training_region_length(self):
@@ -146,6 +164,35 @@ class TestHoldoutWindows:
         split = split_tail(dataset(length=100, ids=("short",)), 20, 15)
         with pytest.raises(DataError, match="'short' has too little history"):
             split.val_windows(70, 4)
+
+
+class TestWindowSizes:
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    @pytest.mark.parametrize("input_size,horizon,name", [(0, 4, "input_size"),
+                                                         (-3, 4, "input_size"),
+                                                         (12, 0, "horizon"),
+                                                         (12, -2, "horizon")])
+    def test_every_part_rejects_sizes_below_one(self, part, input_size, horizon, name):
+        split = split_tail(dataset(length=150, ids=("a", "b")), 20, 20)
+        size = input_size if name == "input_size" else horizon
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {size}$"):
+            getattr(split, f"{part}_windows")(input_size, horizon)
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {size}$"):
+            prepared_windows(split, part, input_size, horizon, "none")
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_checked_whatever_the_regions_hold(self, part):
+        # The holdout regions (5 points) are shorter than the input size (60)
+        # and the horizon (7), and the training region holds no whole window.
+        split = split_tail(dataset(length=40), 5, 5)
+        for input_size, horizon, name in ((0, 7, "input_size"), (60, 0, "horizon")):
+            with pytest.raises(ConfigError, match=f"^{name} must be >= 1"):
+                getattr(split, f"{part}_windows")(input_size, horizon)
+
+    def test_val_horizon_zero_is_not_reported_as_a_stride(self):
+        split = split_tail(dataset(length=150), 20, 20)
+        with pytest.raises(ConfigError, match="^horizon must be >= 1, got 0$"):
+            prepared_windows(split, "val", 4, 0, "none")
 
 
 class TestPreparedWindows:
@@ -686,6 +733,15 @@ class TestNormalize:
     def test_per_series_median_needs_scales(self):
         with pytest.raises(ConfigError, match="scales"):
             normalize(self.windows(), "per-series-median")
+
+    @pytest.mark.parametrize("view", [True, False], ids=["view", "hand-built"])
+    def test_a_series_without_a_scale_is_named(self, view):
+        windows = make_windows(np.arange(1.0, 40.0), 6, 3, series_id="x")
+        if not view:
+            windows = [Window(series_id=w.series_id, input=w.input.copy(),
+                              target=w.target.copy(), t_start=w.t_start) for w in windows]
+        with pytest.raises(ConfigError, match="no per-series scale for series 'x'"):
+            normalize(windows, "per-series-median", {"y": 2.0})
 
 
 class TestTrainLoop:

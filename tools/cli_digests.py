@@ -10,12 +10,16 @@ a ``.stdout`` file beside its outputs:
 
 - ``generate`` of two synthetic series, merged into one two-series CSV, and
   of a third, longer series in a CSV of its own;
-- for each of three variants on the merged CSV (``per-series-median`` with
-  ``avg`` pooling, ``per-window-last`` with ``max`` pooling, ``none`` with
-  ``avg`` pooling) and one on the long series (``long-800``: 800 lags,
+- for each of three dmidas variants on the merged CSV (``per-series-median``
+  with ``avg`` pooling, ``per-window-last`` with ``max`` pooling, ``none``
+  with ``avg`` pooling) and one on the long series (``long-800``: 800 lags,
   batches of 128 and 64-wide layers): ``train``, ``evaluate`` over dmidas,
   nbeats-i, mlp and seasonal-naive, ``evaluate --checkpoints``, ``forecast``
   and ``decompose``;
+- for one nbeats-i variant on the merged CSV (``nbeats-i``: polynomial and
+  harmonic bases, whose single-window forecasts and decompositions project
+  one θ vector through a dense basis): the same commands but ``evaluate``,
+  whose nbeats-i column the dmidas variants already train;
 - ``search --budget 2`` and ``param-count`` on the first variant.
 
 ``--jobs`` goes to every command that takes it. ``trials.jsonl`` is digested
@@ -50,19 +54,20 @@ SPECS = {
 }
 MERGED = ("fast", "slow")
 
-# tag: (data CSV, normalization, pooling, input_size, batch_size, mlp_widths)
+# tag: (data CSV, kind, normalization, pooling, input_size, batch_size, mlp_widths)
 VARIANTS = {
-    "median-avg": ("data.csv", "per-series-median", "avg", 24, 16, "16,16"),
-    "last-max": ("data.csv", "per-window-last", "max", 24, 16, "16,16"),
-    "none-avg": ("data.csv", "none", "avg", 24, 16, "16,16"),
+    "median-avg": ("data.csv", "dmidas", "per-series-median", "avg", 24, 16, "16,16"),
+    "last-max": ("data.csv", "dmidas", "per-window-last", "max", 24, 16, "16,16"),
+    "none-avg": ("data.csv", "dmidas", "none", "avg", 24, 16, "16,16"),
     # The first block pools 800 lags to 400, and OpenBLAS rounds a
     # 128 x 400 @ 400 x 64 product differently at one and at two threads.
-    "long-800": ("long.csv", "per-series-median", "avg", 800, 128, "64,64"),
+    "long-800": ("long.csv", "dmidas", "per-series-median", "avg", 800, 128, "64,64"),
+    "nbeats-i": ("data.csv", "nbeats-i", "per-series-median", "avg", 24, 16, "16,16"),
 }
 
 CONFIG = """\
 [model]
-kind = dmidas
+kind = {kind}
 input_size = {input_size}
 horizon = 8
 blocks_per_stack = 2
@@ -97,11 +102,12 @@ def commands(jobs: int) -> list[tuple[str, list[str]]]:
     to the output directory."""
     run = ["--jobs", str(jobs)]
     steps = []
-    for tag, (data, *_) in VARIANTS.items():
+    for tag, (data, kind, *_) in VARIANTS.items():
         common = [data, "--config", f"{tag}.ini", "--seed", "5"] + run
+        steps.append((f"{tag}/train", ["train", *common, "--out", f"{tag}/train"]))
+        if kind == "dmidas":
+            steps.append((f"{tag}/evaluate", ["evaluate", *common, "--out", f"{tag}/evaluate"]))
         steps += [
-            (f"{tag}/train", ["train", *common, "--out", f"{tag}/train"]),
-            (f"{tag}/evaluate", ["evaluate", *common, "--out", f"{tag}/evaluate"]),
             (f"{tag}/evaluate-checkpoints",
              ["evaluate", *common, "--checkpoints", f"{tag}/train/checkpoints",
               "--out", f"{tag}/evaluate-checkpoints"]),
@@ -136,9 +142,10 @@ def write_inputs() -> None:
     for name, (length, components) in SPECS.items():
         spec = {"name": name, "length": length, "seed": 2, "components": components}
         Path(f"{name}.json").write_text(json.dumps(spec))
-    for tag, (_, normalization, pooling, input_size, batch_size, widths) in VARIANTS.items():
+    for tag, (_, kind, normalization, pooling, input_size, batch_size,
+              widths) in VARIANTS.items():
         Path(f"{tag}.ini").write_text(CONFIG.format(
-            normalization=normalization, pooling=pooling, input_size=input_size,
+            kind=kind, normalization=normalization, pooling=pooling, input_size=input_size,
             batch_size=batch_size, widths=widths))
         Path(tag).mkdir()
 
