@@ -156,6 +156,7 @@ class SplitDataset:
         return out
 
     def _holdout_windows(self, input_size, horizon, stride, lo_attr) -> list[Window]:
+        stride = horizon if stride is None else stride
         _check_window_sizes(input_size, horizon, stride)
         out = []
         for sp in self.splits:
@@ -171,10 +172,10 @@ class SplitDataset:
         return out
 
     def val_windows(self, input_size: int, horizon: int, stride: int | None = None) -> list[Window]:
-        return self._holdout_windows(input_size, horizon, stride or horizon, "val")
+        return self._holdout_windows(input_size, horizon, stride, "val")
 
     def test_windows(self, input_size: int, horizon: int, stride: int | None = None) -> list[Window]:
-        return self._holdout_windows(input_size, horizon, stride or horizon, "test")
+        return self._holdout_windows(input_size, horizon, stride, "test")
 
 
 def split_tail(dataset: TimeSeriesDataset, val_len: int, test_len: int) -> SplitDataset:
@@ -207,12 +208,13 @@ def median_abs_scales(split: SplitDataset) -> dict[str, float]:
 
 def normalize(windows: list[Window], mode: str,
               scales: dict[str, float] | None = None):
-    """Rescale windows; returns (normalized windows, exact inverse transform).
+    """Rescale windows; returns (normalized windows, inverse transform).
 
-    per-series-median divides by the series scale and needs ``scales``
-    computed from the training region (see ``median_abs_scales``).
-    per-window-last subtracts the last input value. The inverse restores
-    original units via original = normalized * scale + offset.
+    One affine rule, original = normalized * scale + offset: each window holds
+    (x - offset) / scale, with (scale, offset) = (1, 0) under none, (its series'
+    training-region scale from ``scales``, see ``median_abs_scales``, 0) under
+    per-series-median and (1, its last input) under per-window-last. The
+    inverse maps back by ``denormalize_forecast``, exact only up to rounding.
     """
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization '{mode}'")
@@ -220,34 +222,29 @@ def normalize(windows: list[Window], mode: str,
         raise ConfigError("per-series-median normalization needs per-series scales")
 
     normalized = []
-    divided = {}  # id of a window buffer -> that buffer divided by its series scale
+    divided = {}  # id of a window buffer -> that buffer divided by its windows' scale
     for w in windows:
-        if mode == "none":
-            normalized.append(w if w._view else replace(w, input=w.input.copy(),
-                                                          target=w.target.copy()))
-        elif mode == "per-series-median":
-            s = scales.get(w.series_id)
-            if s is None:
-                raise ConfigError(f"no per-series scale for series '{w.series_id}'")
-            if w._view:
-                buf, pos = w._view
-                if id(buf) not in divided:
-                    divided[id(buf)] = buf / s
-                    divided[id(buf)].flags.writeable = False
-                normalized.append(_view_window(divided[id(buf)], pos, len(w.input),
-                                               len(w.target), series_id=w.series_id,
-                                               t_start=w.t_start, scale=s, offset=0.0))
-            else:
-                normalized.append(replace(w, input=w.input / s, target=w.target / s,
-                                          scale=s, offset=0.0))
+        scale = scales.get(w.series_id) if mode == "per-series-median" else 1.0
+        if scale is None:
+            raise ConfigError(f"no per-series scale for series '{w.series_id}'")
+        offset = float(w.input[-1]) if mode == "per-window-last" else 0.0
+        # by mode, not by offset: -0.0 - (-0.0) is +0.0, but -0.0 / 1.0 stays -0.0
+        if w._view and mode != "per-window-last":
+            buf, pos = w._view
+            if id(buf) not in divided:
+                divided[id(buf)] = buf / scale
+                divided[id(buf)].flags.writeable = False
+            normalized.append(_view_window(divided[id(buf)], pos, len(w.input),
+                                           len(w.target), series_id=w.series_id,
+                                           t_start=w.t_start, scale=scale, offset=offset))
         else:
-            last = float(w.input[-1])
-            normalized.append(replace(w, input=w.input - last, target=w.target - last,
-                                      scale=1.0, offset=last))
+            normalized.append(replace(w, input=(w.input - offset) / scale,
+                                      target=(w.target - offset) / scale,
+                                      scale=scale, offset=offset))
 
     def inverse(ws: list[Window]) -> list[Window]:
-        return [replace(w, input=w.input * w.scale + w.offset,
-                        target=w.target * w.scale + w.offset,
+        return [replace(w, input=denormalize_forecast(w, w.input),
+                        target=denormalize_forecast(w, w.target),
                         scale=1.0, offset=0.0) for w in ws]
 
     return normalized, inverse
@@ -557,15 +554,23 @@ def _member_models(members):
     return models
 
 
+def _member_mean(models, x, out: np.ndarray) -> np.ndarray:
+    """Sum the members' forecasts of ``x`` into ``out`` in list order, then divide once."""
+    for k, m in enumerate(models):
+        fc = engine.value_of(m.forward_batch(x, tape=None)[0])
+        if k:
+            out += fc
+        else:
+            out[...] = fc
+    out /= len(models)
+    return out
+
+
 def ensemble_forecast(members, y_in) -> np.ndarray:
     """Elementwise arithmetic mean of the member forecasts, in list order."""
     models = _member_models(members)
     y = input_vector(models[0], y_in)
-    acc = None
-    for m in models:
-        fc = engine.value_of(m.forward_batch(y, tape=None)[0])
-        acc = fc.copy() if acc is None else acc + fc
-    return acc / len(models)
+    return _member_mean(models, y, np.empty(models[0].horizon))
 
 
 def ensemble_forecast_batch(members, x) -> np.ndarray:
@@ -573,8 +578,8 @@ def ensemble_forecast_batch(members, x) -> np.ndarray:
 
     The rows are forecast in blocks of ``BATCH_ROWS``, one block per CPU of
     the calling thread at a time (``parallel_map``), so a row's bits depend
-    on neither the CPU count nor the caller's ``--jobs``. Each block sums its
-    members in list order into its rows of one output.
+    on neither the CPU count nor the caller's ``--jobs``. Each block takes
+    the member mean (``_member_mean``) into its rows of one output.
     """
     models = _member_models(members)
     x = np.asarray(x, dtype=np.float64)
@@ -582,16 +587,6 @@ def ensemble_forecast_batch(members, x) -> np.ndarray:
         raise ConfigError(f"expected an input batch of shape (N, {models[0].input_size}), "
                           f"got shape {x.shape}")
     out = np.empty((len(x), models[0].horizon))
-
-    def forecast_rows(lo: int) -> None:
-        rows, acc = x[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS]
-        for k, m in enumerate(models):
-            fc = engine.value_of(m.forward_batch(rows, tape=None)[0])
-            if k:
-                acc += fc
-            else:
-                acc[...] = fc
-
-    parallel_map(forecast_rows, range(0, len(x), BATCH_ROWS))
-    out /= len(models)
+    parallel_map(lambda lo: _member_mean(models, x[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS]),
+                 range(0, len(x), BATCH_ROWS))
     return out

@@ -189,6 +189,15 @@ class TestWindowSizes:
             with pytest.raises(ConfigError, match=f"^{name} must be >= 1"):
                 getattr(split, f"{part}_windows")(input_size, horizon)
 
+    @pytest.mark.parametrize("part", ["val", "test"])
+    def test_an_explicit_holdout_stride_of_zero_is_rejected(self, part):
+        # None alone means the horizon; 0 is an error, as for the training part.
+        split = split_tail(dataset(length=150), 20, 20)
+        holdout = getattr(split, f"{part}_windows")
+        assert len(holdout(12, 4, stride=None)) == len(holdout(12, 4)) == 5
+        with pytest.raises(ConfigError, match="^stride must be >= 1, got 0$"):
+            holdout(12, 4, stride=0)
+
     def test_val_horizon_zero_is_not_reported_as_a_stride(self):
         split = split_tail(dataset(length=150), 20, 20)
         with pytest.raises(ConfigError, match="^horizon must be >= 1, got 0$"):
@@ -467,6 +476,18 @@ class TestBatchBlocks:
                       np.stack([row for row in x[:300]])):
             assert ensemble_forecast_batch(members, given).tobytes() == want
 
+    def test_each_block_sums_its_members_in_order_then_divides_once(self, config, members, x):
+        # Three members, so that the order of the sums shows in the bits.
+        three = members + [build_model(config, 2)]
+        want = np.empty((self.N, 32))
+        for lo in range(0, self.N, training.BATCH_ROWS):
+            block = slice(lo, lo + training.BATCH_ROWS)
+            acc = engine.value_of(three[0].forward_batch(x[block])[0]).copy()
+            for m in three[1:]:
+                acc = acc + engine.value_of(m.forward_batch(x[block])[0])
+            want[block] = acc / len(three)
+        assert ensemble_forecast_batch(three, x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(800,), (3, 799), (2, 3, 800)])
     def test_other_shapes_rejected(self, members, shape):
         with pytest.raises(ConfigError, match="expected an input batch of shape"):
@@ -510,12 +531,15 @@ class TestWindowViews:
         with pytest.raises(FrozenInstanceError):
             w.input = np.zeros(3)
 
-    @pytest.mark.parametrize("mode", ["per-series-median", "none"])
+    @pytest.mark.parametrize("mode", NORMALIZATION_MODES)
     def test_views_hand_built_and_replaced_windows_normalize_alike(self, mode):
         split = self.split()
         scales = median_abs_scales(split)
-        # two buffers per series: the train and the validation region
-        windows = split.train_windows(12, 4) + split.val_windows(12, 4)
+        # two buffers per series: the train and the validation region, and a
+        # series of signed zeros whose windows all end in -0.0
+        windows = (split.train_windows(12, 4) + split.val_windows(12, 4)
+                   + make_windows([-0.0, 2.0, -0.0, -0.0, -0.0, 3.0], 3, 1, series_id="z"))
+        scales["z"] = 2.0
         variants = {"views": windows,
                     "hand-built": [plain_copy(w) for w in windows],
                     "replaced": [replace(w, t_start=w.t_start) for w in windows]}
@@ -523,10 +547,15 @@ class TestWindowViews:
             normalized, _ = normalize(ws, mode, scales)
             for w, n in zip(windows, normalized):
                 s = scales[w.series_id] if mode == "per-series-median" else 1.0
-                assert n.input.tobytes() == (w.input / s).tobytes(), name
-                assert n.target.tobytes() == (w.target / s).tobytes(), name
+                last = w.input[-1] if mode == "per-window-last" else 0.0
+                assert n.input.tobytes() == ((w.input - last) / s).tobytes(), name
+                assert n.target.tobytes() == ((w.target - last) / s).tobytes(), name
                 assert (n.series_id, n.t_start, n.scale, n.offset) == \
-                    (w.series_id, w.t_start, s, 0.0), name
+                    (w.series_id, w.t_start, s, last), name
+                if mode == "per-window-last":
+                    assert n.input.tobytes() == (w.input - w.input[-1]).tobytes(), name
+                    if w.series_id == "z":
+                        assert not np.signbit(n.input).any(), name
 
     def test_replaced_input_is_the_one_normalized(self):
         windows = make_windows(np.arange(1.0, 60.0), 6, 3, series_id="c")

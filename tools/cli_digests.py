@@ -20,6 +20,9 @@ a ``.stdout`` file beside its outputs:
   harmonic bases, whose single-window forecasts and decompositions project
   one θ vector through a dense basis): the same commands but ``evaluate``,
   whose nbeats-i column the dmidas variants already train;
+- for one dmidas variant on the long series at H = 96 (``h96``: 288 lags
+  and holdouts of 96, so its forecast and backcast bands span two and five
+  64-step chunks): the same commands but ``evaluate``;
 - ``search --budget 2`` and ``param-count`` on the first variant.
 
 ``--jobs`` goes to every command that takes it. ``trials.jsonl`` is digested
@@ -54,22 +57,25 @@ SPECS = {
 }
 MERGED = ("fast", "slow")
 
-# tag: (data CSV, kind, normalization, pooling, input_size, batch_size, mlp_widths)
+# tag: (data CSV, kind, normalization, pooling, input_size, batch_size, mlp_widths,
+#       horizon, val_len and test_len)
 VARIANTS = {
-    "median-avg": ("data.csv", "dmidas", "per-series-median", "avg", 24, 16, "16,16"),
-    "last-max": ("data.csv", "dmidas", "per-window-last", "max", 24, 16, "16,16"),
-    "none-avg": ("data.csv", "dmidas", "none", "avg", 24, 16, "16,16"),
+    "median-avg": ("data.csv", "dmidas", "per-series-median", "avg", 24, 16, "16,16", 8, 32),
+    "last-max": ("data.csv", "dmidas", "per-window-last", "max", 24, 16, "16,16", 8, 32),
+    "none-avg": ("data.csv", "dmidas", "none", "avg", 24, 16, "16,16", 8, 32),
     # The first block pools 800 lags to 400, and OpenBLAS rounds a
     # 128 x 400 @ 400 x 64 product differently at one and at two threads.
-    "long-800": ("long.csv", "dmidas", "per-series-median", "avg", 800, 128, "64,64"),
-    "nbeats-i": ("data.csv", "nbeats-i", "per-series-median", "avg", 24, 16, "16,16"),
+    "long-800": ("long.csv", "dmidas", "per-series-median", "avg", 800, 128, "64,64", 8, 32),
+    "nbeats-i": ("data.csv", "nbeats-i", "per-series-median", "avg", 24, 16, "16,16", 8, 32),
+    # H > 64, so the interpolation bands hold more than one chunk.
+    "h96": ("long.csv", "dmidas", "per-series-median", "avg", 288, 16, "16,16", 96, 96),
 }
 
 CONFIG = """\
 [model]
 kind = {kind}
 input_size = {input_size}
-horizon = 8
+horizon = {horizon}
 blocks_per_stack = 2
 mlp_widths = {widths}
 base_ratio = 0.5
@@ -85,9 +91,9 @@ normalization = {normalization}
 n_members = 2
 
 [evaluation]
-horizons = 8
-val_len = 32
-test_len = 32
+horizons = {horizon}
+val_len = {holdout}
+test_len = {holdout}
 models = dmidas,nbeats-i,mlp,seasonal-naive
 naive_period = 12
 """
@@ -102,10 +108,12 @@ def commands(jobs: int) -> list[tuple[str, list[str]]]:
     to the output directory."""
     run = ["--jobs", str(jobs)]
     steps = []
-    for tag, (data, kind, *_) in VARIANTS.items():
+    for tag, (data, *_) in VARIANTS.items():
         common = [data, "--config", f"{tag}.ini", "--seed", "5"] + run
         steps.append((f"{tag}/train", ["train", *common, "--out", f"{tag}/train"]))
-        if kind == "dmidas":
+        # The dmidas variants already train nbeats-i's column, and h96 sweeps
+        # the commands that load or train one dmidas ensemble.
+        if tag not in ("nbeats-i", "h96"):
             steps.append((f"{tag}/evaluate", ["evaluate", *common, "--out", f"{tag}/evaluate"]))
         steps += [
             (f"{tag}/evaluate-checkpoints",
@@ -142,11 +150,11 @@ def write_inputs() -> None:
     for name, (length, components) in SPECS.items():
         spec = {"name": name, "length": length, "seed": 2, "components": components}
         Path(f"{name}.json").write_text(json.dumps(spec))
-    for tag, (_, kind, normalization, pooling, input_size, batch_size,
-              widths) in VARIANTS.items():
+    for tag, (_, kind, normalization, pooling, input_size, batch_size, widths, horizon,
+              holdout) in VARIANTS.items():
         Path(f"{tag}.ini").write_text(CONFIG.format(
             kind=kind, normalization=normalization, pooling=pooling, input_size=input_size,
-            batch_size=batch_size, widths=widths))
+            batch_size=batch_size, widths=widths, horizon=horizon, holdout=holdout))
         Path(tag).mkdir()
 
 
