@@ -28,8 +28,9 @@ from .errors import ConfigError, DataError, DmidasError, NumericsError, Training
 from .model import (build_any, count_parameters, generic_twin, load_checkpoint,
                     save_checkpoint)
 from .training import (EnsembleConfig, TrainConfig, denormalize_forecast,
-                       ensemble_forecast, ensemble_forecast_batch, prepared_windows,
-                       split_tail, train, train_ensemble, write_history_csv)
+                       ensemble_forecast, ensemble_forecast_batch, parallel_map,
+                       prepared_windows, split_tail, train, train_ensemble,
+                       write_history_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -359,7 +360,7 @@ def _load_members(checkpoint_dir) -> list:
     files = sorted(directory.glob("member_*.npz"), key=_member_order)
     if not files:
         raise DataError(f"no member_*.npz checkpoints under '{directory}'")
-    return [load_checkpoint(f) for f in files]
+    return parallel_map(load_checkpoint, files)
 
 
 def _evaluate_checkpoints(args, config: RunConfig, dataset) -> metrics_mod.MetricsReport:

@@ -4,11 +4,16 @@ schedule expressivity ratios, count parameters and checkpoint models.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
+import struct
 import sys
+import tokenize
 import uuid
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -439,53 +444,161 @@ def save_checkpoint(model, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path):
-    """Rebuild a model from a checkpoint, validating version, names, shapes and completeness."""
+@contextlib.contextmanager
+def _reading(path):
+    """Report a failed read or damaged bytes of ``path`` as a ``DataError`` naming it.
+
+    numpy's npy header reader retries a header that does not parse with
+    ``tokenize``, whose ``TokenError`` is no ``ValueError``."""
     try:
-        loaded = np.load(path)
-        if not isinstance(loaded, np.lib.npyio.NpzFile):
-            raise ConfigError(f"'{path}' is not a model checkpoint (not an npz archive)")
-        with loaded as npz:
-            arrays = {key: npz[key] for key in npz.files}
-    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+        yield
+    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
+            tokenize.TokenError) as exc:
         raise DataError(f"cannot read checkpoint '{path}': {exc}") from None
-    if "__meta__" not in arrays:
-        raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
-    try:
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version!r}")
-        config = model_config_from_dict(meta["config"])
-        shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
-        if isinstance(config, ModelConfig):
-            # Counted before anything is built: a block count the arrays cannot
-            # hold would otherwise be assembled block by block.
-            blocks = sum(1 if s.shared_weights else s.n_blocks for s in config.stacks)
-            prefixes = {key[2:].rsplit(".", 2)[0] for key in arrays if key.startswith("p:")}
-            if blocks > len(prefixes):
-                raise ConfigError(f"checkpoint config has {blocks} blocks with their own "
-                                  f"parameters, but the file stores arrays for {len(prefixes)}")
 
-        def stored(name, fan_in, shape):
-            # each array is checked before it is used, so a bad file allocates nothing
-            if name not in shapes:
-                raise ConfigError(f"checkpoint is missing parameter '{name}' of its model")
-            arr = arrays.get("p:" + name)
-            if arr is None:
-                raise ConfigError(f"checkpoint parameter '{name}' has no array")
-            if arr.shape != shape or list(shape) != shapes[name]:
-                raise ConfigError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
-                                  f"expected {shape}")
-            return arr
 
-        model = _assemble(config, stored)
-    except ConfigError as exc:
-        raise ConfigError(f"'{path}': {exc}") from None
-    except KeyError as exc:
-        raise ConfigError(f"'{path}' has checkpoint metadata without key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
+class _Npz:
+    """The npz archive open on ``handle``, read one member at a time.
+
+    ``members`` maps each key (the member's name less ".npy", as ``np.load``
+    gives it) to its ``zipfile.ZipInfo``; zipfile parses the central directory.
+    """
+
+    def __init__(self, path, handle):
+        self.path = path
+        self.handle = handle
+        with _reading(path):
+            magic = handle.read(len(np.lib.format.MAGIC_PREFIX))
+            if magic == np.lib.format.MAGIC_PREFIX:
+                raise ConfigError(f"'{path}' is not a model checkpoint (not an npz archive)")
+            if not magic.startswith((b"PK\x03\x04", b"PK\x05\x06")):
+                raise ValueError("not an npz archive")
+            self.archive = zipfile.ZipFile(handle)
+            self.size = os.fstat(handle.fileno()).st_size
+        self.members = {info.filename.removesuffix(".npy"): info
+                        for info in self.archive.infolist()}
+
+    def open(self, key):
+        """``(shape, read)`` for the npy array of member ``key``: its header is
+        checked now, and ``read()`` returns the array.
+
+        A member stored uncompressed, as ``np.savez`` writes it, has its local
+        header's signature and name checked, as zipfile does, and its npy header
+        read by numpy's reader (``max_header_size``, no object dtype). Its shape
+        and dtype must account for the member's size exactly, so nothing is
+        allocated for a header that claims more. ``read()`` fills one fresh
+        array with one ``readinto`` from the data offset and checks the zip
+        CRC-32 over header and data. Any other member is read whole through
+        zipfile, as ``np.load`` reads it.
+        """
+        fmt = np.lib.format
+        info = self.members[key]
+        handle = self.handle
+        with _reading(self.path):
+            if info.compress_type != zipfile.ZIP_STORED:
+                with self.archive.open(info) as member:
+                    arr = fmt.read_array(member, allow_pickle=False)
+                return arr.shape, lambda: arr
+            handle.seek(info.header_offset)
+            local = handle.read(30)
+            if len(local) != 30 or local[:4] != b"PK\x03\x04":
+                raise zipfile.BadZipFile(f"bad local header for member '{info.filename}'")
+            # general-purpose flags at byte 6, name and extra-field lengths at 26 and 28
+            flags, n_name, n_extra = struct.unpack("<6xH18xHH", local)
+            name = handle.read(n_name).decode("utf-8" if flags & 0x800 else "cp437")
+            if name != info.orig_filename:
+                raise zipfile.BadZipFile(f"member name in directory {info.orig_filename!r} "
+                                         f"and header {name!r} differ")
+            start = info.header_offset + 30 + n_name + n_extra
+            handle.seek(start)
+            header = {(1, 0): fmt.read_array_header_1_0,
+                      (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(handle))
+            if header is None:
+                raise ValueError(f"member '{info.filename}' has an unsupported npy version")
+            shape, fortran_order, dtype = header(handle)
+            if dtype.hasobject:
+                raise ValueError("object arrays cannot be loaded")
+            n_header = handle.tell() - start
+            nbytes = math.prod(shape) * dtype.itemsize
+            if (n_header + nbytes != info.file_size or info.compress_size != info.file_size
+                    or start + info.file_size > self.size):
+                raise zipfile.BadZipFile(
+                    f"member '{info.filename}' holds {info.file_size} bytes, but its npy "
+                    f"header declares {n_header} + {nbytes}")
+
+        def read():
+            with _reading(self.path):
+                handle.seek(start)
+                crc = zlib.crc32(handle.read(n_header))
+                data = np.empty(nbytes, dtype=np.uint8)
+                if handle.readinto(data) != nbytes:
+                    raise EOFError(f"member '{info.filename}' is truncated")
+                if zlib.crc32(data, crc) != info.CRC:
+                    raise zipfile.BadZipFile(f"Bad CRC-32 for file '{info.filename}'")
+                arr = data.view(dtype)
+                return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
+
+        return shape, read
+
+
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint, validating version, names, shapes and completeness.
+
+    The file is read a member at a time (``_Npz``): ``__meta__`` first, then,
+    once the config and its block count are checked, each parameter when the
+    build asks for it, after its npy header matches the shape the model
+    expects, so a header that claims more than its member holds allocates
+    nothing. A load holds the model's parameters plus the one array being
+    read, which is dropped once ``Param`` has copied it. Unreadable or damaged
+    bytes (text, a truncated file, a failed CRC) are a ``DataError``; a
+    readable file that is not a checkpoint of a buildable model is a
+    ``ConfigError``. Both name the file.
+    """
+    with _reading(path):
+        handle = open(path, "rb")
+    with handle:
+        npz = _Npz(path, handle)
+        if "__meta__" not in npz.members:
+            raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
+        _, read_meta = npz.open("__meta__")
+        meta_bytes = bytes(read_meta())
+        try:
+            meta = json.loads(meta_bytes.decode("utf-8"))
+            version = meta.get("version")
+            if version != CHECKPOINT_VERSION:
+                raise ConfigError(f"unsupported checkpoint version {version!r}")
+            config = model_config_from_dict(meta["config"])
+            shapes = {rec["name"]: rec["shape"] for rec in meta["params"]}
+            if isinstance(config, ModelConfig):
+                # Counted before anything is built: a block count the arrays cannot
+                # hold would otherwise be assembled block by block.
+                blocks = sum(1 if s.shared_weights else s.n_blocks for s in config.stacks)
+                prefixes = {key[2:].rsplit(".", 2)[0] for key in npz.members
+                            if key.startswith("p:")}
+                if blocks > len(prefixes):
+                    raise ConfigError(f"checkpoint config has {blocks} blocks with their own "
+                                      f"parameters, but the file stores arrays for "
+                                      f"{len(prefixes)}")
+
+            def stored(name, fan_in, shape):
+                # each array is checked before it is read, so a bad file allocates nothing
+                if name not in shapes:
+                    raise ConfigError(f"checkpoint is missing parameter '{name}' of its model")
+                if "p:" + name not in npz.members:
+                    raise ConfigError(f"checkpoint parameter '{name}' has no array")
+                found, read = npz.open("p:" + name)
+                if found != shape or list(shape) != shapes[name]:
+                    raise ConfigError(f"checkpoint parameter '{name}' has shape {found}, "
+                                      f"expected {shape}")
+                return read()
+
+            model = _assemble(config, stored)
+        except ConfigError as exc:
+            raise ConfigError(f"'{path}': {exc}") from None
+        except KeyError as exc:
+            raise ConfigError(f"'{path}' has checkpoint metadata without key {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"'{path}' has malformed checkpoint metadata: {exc}") from None
     for name in shapes:
         if name not in model.params:
             raise ConfigError(f"'{path}': checkpoint parameter '{name}' not present in model")

@@ -496,11 +496,12 @@ def parallel_map(fn, items, jobs: int | None = None) -> list:
     """``[fn(x) for x in items]`` in item order, on ``min(jobs, len(items))`` threads.
 
     This is the one fan-out: of ``evaluate``'s cells (``jobs`` from
-    ``--jobs``), and of ensemble members, search trials and batch forecast
-    rows (``jobs`` left out: one thread per CPU of the calling thread). The
-    calling thread's CPUs are every usable CPU, or, inside a worker, that
-    worker's share: ``max(1, cpus // workers)`` of its own caller's. So a
-    fan-out nested in workers that already fill the CPUs runs inline.
+    ``--jobs``), and of ensemble members, search trials, batch forecast rows
+    and checkpoint loads (``jobs`` left out: one thread per CPU of the
+    calling thread). The calling thread's CPUs are every usable CPU, or,
+    inside a worker, that worker's share: ``max(1, cpus // workers)`` of its
+    own caller's. So a fan-out nested in workers that already fill the CPUs
+    runs inline.
     OpenBLAS runs at one thread everywhere (set at import).
     """
     cpus = getattr(_fan_out, "cpus", None) or _usable_cpus()

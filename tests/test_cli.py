@@ -668,20 +668,27 @@ class TestForecastAndDecompose:
         assert f"'{ckpt}': checkpoint parameter 'out.bias' has no array" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    @pytest.mark.parametrize("damage", ["text", "truncated", "npy-header", "meta", "data"])
     def test_unreadable_checkpoint_exit_two(self, workspace, capsys, damage):
         tmp_path, config, data = workspace
         run = tmp_path / "run"
         main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
         ckpt = run / "checkpoints" / "member_0.npz"
+        raw = bytearray(ckpt.read_bytes())
         if damage == "text":
-            ckpt.write_text("hello\n")
-        else:
-            ckpt.write_bytes(ckpt.read_bytes()[:100])
+            raw = bytearray(b"hello\n")
+        elif damage == "truncated":
+            raw = raw[:100]
+        else:  # one byte flipped in a member's npy header, or past it in its data
+            key = {"npy-header": "p:s0.b0.mlp0.weight", "meta": "__meta__",
+                   "data": "p:s0.b1.mlp1.weight"}[damage]
+            header = raw.index(b"\x93NUMPY", raw.index(key.encode() + b".npy"))
+            raw[header + (20 if damage == "npy-header" else 200)] ^= 0xFF
+        ckpt.write_bytes(bytes(raw))
         out = tmp_path / "fc.csv"
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 2
-        assert "member_0.npz" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint '{ckpt}': ")
         assert not out.exists()
 
     def test_field_over_the_csv_limit_exit_two(self, workspace, capsys):
@@ -696,6 +703,39 @@ class TestForecastAndDecompose:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "wide.csv' line 242: field larger" in err
         assert not out.exists()
+
+    def test_members_load_at_once_with_the_bytes_and_errors_of_one_at_a_time(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, config, data = workspace
+        three = tmp_path / "three.ini"
+        three.write_text(Path(config).read_text().replace("n_members = 2", "n_members = 3")
+                         .replace("iterations = 60", "iterations = 10"))
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", str(three), "--out", str(run)]) == 0
+        ckpts = run / "checkpoints"
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            fc, ev = tmp_path / f"fc{cpus}.csv", tmp_path / f"ev{cpus}"
+            assert main(["forecast", data, "--config", str(three), "--checkpoints", str(ckpts),
+                         "--out", str(fc)]) == 0
+            assert main(["evaluate", data, "--config", str(three), "--checkpoints", str(ckpts),
+                         "--out", str(ev)]) == 0
+            outputs[cpus] = fc.read_bytes(), (ev / "metrics.json").read_bytes()
+        assert outputs[1] == outputs[2]
+
+        (ckpts / "member_1.npz").write_bytes((ckpts / "member_1.npz").read_bytes()[:100])
+        with open(ckpts / "member_2.npz", "wb") as handle:  # a ConfigError of its own
+            np.save(handle, np.arange(3.0))
+        capsys.readouterr()
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            for command in (["forecast", "--out", str(tmp_path / "x.csv")],
+                            ["evaluate", "--out", str(tmp_path / "x")]):
+                assert main([command[0], data, "--config", str(three), "--checkpoints",
+                             str(ckpts), *command[1:]]) == 2
+                err = capsys.readouterr().err
+                assert "member_1.npz" in err and "member_2.npz" not in err
 
     def test_npy_file_as_checkpoint_exits_one(self, workspace, capsys):
         tmp_path, config, data = workspace

@@ -5,15 +5,22 @@ with nothing raised, and only divergence may exit 3.
 ``param-count`` runs every ``[model]`` key; ``train`` runs every key of every
 section on one 400-row series (4 iterations, 1 member). No value asks for a
 large width, many members or many threads: the largest number is 30.
+
+``forecast`` and ``decompose`` run a checkpoint with every leaf of its
+metadata (version, config and parameter records) set to each of a shorter
+list of JSON values; each must exit 0, 1 or 2.
 """
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from dmidas.cli import CONFIG_SCHEMA, main
+from dmidas.metrics import ModelSpec, model_config_for
+from dmidas.model import build_any, save_checkpoint
 
 BASE = {
     "model": {"input_size": "24", "horizon": "8", "blocks_per_stack": "2",
@@ -88,3 +95,57 @@ def test_train_exits_zero_one_or_two_unless_it_diverges(tmp_path, series_csv, se
     outcomes = _sweep(tmp_path, section, key, lambda config, out: [
         "train", series_csv, "--config", config, "--out", out])
     assert _broken(outcomes, allowed) == {}
+
+
+# JSON values for a checkpoint's metadata leaves; none exceeds 30.
+HOSTILE_JSON = ("", "abc", True, None, -1, 0, 0.5, 1, 2, 30, [1, 2, 3], {})
+
+
+def _leaves(node, path=()):
+    """Paths to the scalars of a JSON value."""
+    if isinstance(node, dict):
+        return [leaf for key, child in node.items() for leaf in _leaves(child, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, child in enumerate(node) for leaf in _leaves(child, path + (i,))]
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """The metadata and arrays of an untrained 2-block dmidas checkpoint whose
+    model matches ``BASE``, and a config that reads it."""
+    root = tmp_path_factory.mktemp("ckpt")
+    spec = ModelSpec(name="dmidas", kind="dmidas", blocks_per_stack=2, mlp_widths=(8,))
+    save_checkpoint(build_any(model_config_for(spec, 24, 8), 0), root / "m.npz")
+    with np.load(root / "m.npz") as npz:
+        meta = json.loads(bytes(npz["__meta__"]).decode())
+        arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+    config = root / "run.ini"
+    config.write_text(_ini("model", "kind", "dmidas"))
+    return meta, arrays, str(config)
+
+
+@pytest.mark.parametrize("command", ["forecast", "decompose"])
+@pytest.mark.parametrize("value", HOSTILE_JSON, ids=json.dumps)
+def test_checkpoint_metadata_exits_zero_one_or_two(tmp_path, series_csv, checkpoint, command,
+                                                   value):
+    meta, arrays, config = checkpoint
+    flag = "--checkpoints" if command == "forecast" else "--checkpoint"
+    path = tmp_path / "m.npz"
+    outcomes = {}
+    for leaf in _leaves(meta):
+        edited = json.loads(json.dumps(meta))
+        node = edited
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        np.savez(path, __meta__=np.frombuffer(json.dumps(edited).encode(), dtype=np.uint8),
+                 **arrays)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                outcomes[leaf] = main([command, series_csv, "--config", config, flag, str(path),
+                                       "--out", str(tmp_path / "out.csv")])
+            except Exception as exc:  # recorded: the contract is that none escapes main
+                outcomes[leaf] = repr(exc)
+    assert len(outcomes) > 50
+    assert _broken(outcomes, {0, 1, 2}) == {}

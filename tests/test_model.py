@@ -2,6 +2,8 @@
 
 import json
 import sys
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dmidas import params
 from dmidas.blocks import BlockConfig
 from dmidas.engine import GradientTape
 from dmidas.errors import ConfigError, DataError
+from dmidas.metrics import ModelSpec, model_config_for
 from dmidas.model import (MlpConfig, ModelConfig, StackConfig, build_any,
                           build_model, count_parameters,
                           expressivity_schedule, generic_twin, load_checkpoint,
@@ -515,7 +518,7 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="absent.npz"):
             load_checkpoint(tmp_path / "absent.npz")
 
-    @pytest.mark.parametrize("damage", ["text", "truncated", "corrupted"])
+    @pytest.mark.parametrize("damage", ["text", "truncated", "corrupted", "corrupted-meta"])
     def test_unreadable_file_is_data_error(self, tmp_path, damage):
         _, model = midas_model(seed=6)
         path = tmp_path / "member_0.npz"
@@ -525,8 +528,10 @@ class TestCheckpoints:
             raw = bytearray(b"hello\n")  # numpy takes a non-archive for pickled data
         elif damage == "truncated":
             raw = raw[:100]
-        else:
+        elif damage == "corrupted":
             raw[len(raw) // 2] ^= 0xFF  # inside a stored array: its CRC no longer matches
+        else:
+            raw[raw.index(b'{"config"')] ^= 0xFF  # the metadata's first byte: its CRC fails
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="member_0.npz"):
             load_checkpoint(path)
@@ -680,3 +685,112 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=r"m\.npz': checkpoint parameter 'mlp0\.weight' has "
                                               r"shape \(8, 3\), expected \(8, 2147483648\)$"):
             load_checkpoint(path)
+
+
+def _resave(path, transform=lambda key, arr: arr, savez=np.savez):
+    """Rewrite a checkpoint with each array passed through ``transform``."""
+    with np.load(path) as npz:
+        arrays = {k: transform(k, npz[k]) for k in npz.files}
+    with open(path, "wb") as handle:
+        savez(handle, **arrays)
+
+
+def _npy_header_span(path, key):
+    """Start and end offsets in the file of member ``key``'s npy magic and header."""
+    raw = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        start = raw.index(b"\x93NUMPY", archive.getinfo(key + ".npy").header_offset)
+    n_header = int.from_bytes(raw[start + 8:start + 10], "little")  # version 1.0 length
+    return start, start + 10 + n_header
+
+
+def _rewrite_npy_header(path, key, old, new):
+    """Replace ``old`` with ``new`` in member ``key``'s npy header text, padding
+    with spaces so that the header keeps its length (its CRC then fails)."""
+    raw = bytearray(path.read_bytes())
+    start, end = _npy_header_span(path, key)
+    text = bytes(raw[start + 10:end])
+    assert old in text
+    edited = text.replace(old, new).rstrip(b" \n")
+    assert len(edited) < len(text)
+    raw[start + 10:end] = edited.ljust(len(text) - 1) + b"\n"
+    path.write_bytes(bytes(raw))
+
+
+class TestCheckpointReads:
+    """``load_checkpoint`` reads what ``np.load`` reads, and rejects damage early."""
+
+    KINDS = ("dmidas", "nbeats-g", "nbeats-i", "mlp")
+
+    @staticmethod
+    def model_of(kind):
+        spec = ModelSpec(name=kind, kind=kind, blocks_per_stack=2, mlp_widths=(8, 6))
+        return build_any(model_config_for(spec, 24, 8), seed=3)
+
+    @pytest.mark.parametrize("resave", ["as-saved", "fortran", "big-endian", "compressed"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameters_equal_numpy_load_bit_for_bit(self, tmp_path, kind, resave):
+        path = tmp_path / "member_0.npz"
+        save_checkpoint(self.model_of(kind), path)
+        if resave == "fortran":  # the first 2-D parameter, stored column-major
+            first = next(k for k in np.load(path).files if k.endswith(".weight"))
+            _resave(path, lambda k, a: np.asfortranarray(a) if k == first else a)
+        elif resave == "big-endian":
+            _resave(path, lambda k, a: a.astype(">f8") if k.startswith("p:") else a)
+        elif resave == "compressed":
+            _resave(path, savez=np.savez_compressed)
+        restored = load_checkpoint(path)
+        with np.load(path) as npz:
+            arrays = {k[2:]: npz[k] for k in npz.files if k.startswith("p:")}
+        assert sorted(arrays) == sorted(restored.params.names())
+        for name, arr in arrays.items():
+            value = restored.params[name].value
+            assert value.dtype == np.float64 and value.shape == arr.shape
+            assert value.tobytes() == arr.astype(np.float64).tobytes(), name
+
+    def test_every_flipped_byte_of_an_npy_header_is_a_data_error(self, tmp_path):
+        path = tmp_path / "member_0.npz"
+        # 8 KiB: zipfile reads a member under 4 KiB whole, so would check its CRC first
+        save_checkpoint(build_any(MlpConfig(64, 8, (16,)), seed=0), path)
+        good = path.read_bytes()
+        start, end = _npy_header_span(path, "p:mlp0.weight")
+        for at in range(start, end):
+            raw = bytearray(good)
+            raw[at] ^= 0xFF
+            path.write_bytes(bytes(raw))
+            with pytest.raises(DataError, match=r"cannot read checkpoint '.*member_0\.npz'"):
+                load_checkpoint(path)
+
+    @staticmethod
+    def large_checkpoint(path):
+        """An MLP whose first weight is 2 MiB of the file's ~2.1 MiB."""
+        save_checkpoint(build_any(MlpConfig(256, 4, (1024,)), seed=0), path)
+        return path.stat().st_size
+
+    @staticmethod
+    def rejected_peak(path, error):
+        """Peak traced bytes while ``load_checkpoint(path)`` raises ``error``."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=r"m\.npz"):
+                load_checkpoint(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_header_claiming_2_to_the_40_elements_allocates_nothing(self, tmp_path):
+        path = tmp_path / "m.npz"
+        size = self.large_checkpoint(path)
+        _rewrite_npy_header(path, "p:mlp0.weight", b"'shape': (256, 1024)",
+                            f"'shape': ({2 ** 40},)".encode())
+        assert self.rejected_peak(path, DataError) < size // 4
+
+    def test_a_local_header_name_unlike_the_directory_allocates_nothing(self, tmp_path):
+        path = tmp_path / "m.npz"
+        size = self.large_checkpoint(path)
+        with zipfile.ZipFile(path) as archive:  # the name follows the 30-byte local header
+            at = archive.getinfo("p:mlp0.weight.npy").header_offset + 30
+        raw = path.read_bytes()
+        assert raw[at:at + 17] == b"p:mlp0.weight.npy"
+        path.write_bytes(raw[:at] + b"q" + raw[at + 1:])
+        assert self.rejected_peak(path, DataError) < size // 4

@@ -35,6 +35,14 @@ class TestParameterStore:
         store.restore(snap)
         np.testing.assert_array_equal(store["w"].value, [1.0, 2.0])
 
+    def test_two_stores_built_from_one_dict_share_no_array(self):
+        """A store copies what it is given, so a loaded model owns its arrays."""
+        values = {"w": (np.ones((3, 2)), "weight"), "b": (np.zeros(2), "bias")}
+        first, second = make_store(values), make_store(values)
+        for name, (given, _) in values.items():
+            assert not np.shares_memory(first[name].value, second[name].value)
+            assert not np.shares_memory(first[name].value, given)
+
     def test_weights_excludes_biases(self):
         store = make_store({"w": (np.ones(2), "weight"), "b": (np.ones(2), "bias")})
         assert [p.name for p in store.weights()] == ["w"]
