@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import operator
 import sys
@@ -504,7 +505,9 @@ def cmd_param_count(args) -> int:
 # Wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process: ``main`` only parses."""
     parser = _Parser(prog="dmidas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

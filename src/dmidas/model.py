@@ -448,12 +448,12 @@ def save_checkpoint(model, path) -> None:
 def _reading(path):
     """Report a failed read or damaged bytes of ``path`` as a ``DataError`` naming it.
 
-    numpy's npy header reader retries a header that does not parse with
-    ``tokenize``, whose ``TokenError`` is no ``ValueError``."""
+    Neither a header that numpy's npy reader retries with ``tokenize``
+    (``TokenError``) nor a broken deflate stream (``zlib.error``) is a ``ValueError``."""
     try:
         yield
     except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
-            tokenize.TokenError) as exc:
+            tokenize.TokenError, zlib.error) as exc:
         raise DataError(f"cannot read checkpoint '{path}': {exc}") from None
 
 
@@ -478,81 +478,79 @@ class _Npz:
         self.members = {info.filename.removesuffix(".npy"): info
                         for info in self.archive.infolist()}
 
-    def open(self, key):
-        """``(shape, read)`` for the npy array of member ``key``: its header is
-        checked now, and ``read()`` returns the array.
-
-        A member stored uncompressed, as ``np.savez`` writes it, has its local
-        header's signature and name checked, as zipfile does, and its npy header
-        read by numpy's reader (``max_header_size``, no object dtype). Its shape
-        and dtype must account for the member's size exactly, so nothing is
-        allocated for a header that claims more. ``read()`` fills one fresh
-        array with one ``readinto`` from the data offset and checks the zip
-        CRC-32 over header and data. Any other member is read whole through
-        zipfile, as ``np.load`` reads it.
+    def read(self, key, shape=None):
+        """The npy array of member ``key``, whose header must declare ``shape``
+        unless that is None. One rule for every member: numpy's header reader
+        (version 1.0 or 2.0, ``max_header_size``, no object dtype) parses the
+        npy header, whose shape and dtype must account for the member's size
+        before one array is allocated, so a header that claims more allocates
+        nothing. A stored member (``np.savez``) is read from the file after
+        zipfile's local-header checks, by one ``readinto`` and a CRC-32 over
+        header and data; any other through zipfile's stream, which checks the
+        CRC-32 at the member's end.
         """
         fmt = np.lib.format
         info = self.members[key]
-        handle = self.handle
-        with _reading(self.path):
-            if info.compress_type != zipfile.ZIP_STORED:
-                with self.archive.open(info) as member:
-                    arr = fmt.read_array(member, allow_pickle=False)
-                return arr.shape, lambda: arr
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                raise zipfile.BadZipFile(f"bad local header for member '{info.filename}'")
-            # general-purpose flags at byte 6, name and extra-field lengths at 26 and 28
-            flags, n_name, n_extra = struct.unpack("<6xH18xHH", local)
-            name = handle.read(n_name).decode("utf-8" if flags & 0x800 else "cp437")
-            if name != info.orig_filename:
-                raise zipfile.BadZipFile(f"member name in directory {info.orig_filename!r} "
-                                         f"and header {name!r} differ")
-            start = info.header_offset + 30 + n_name + n_extra
-            handle.seek(start)
+        stored = info.compress_type == zipfile.ZIP_STORED
+        with _reading(self.path), contextlib.ExitStack() as stack:
+            if stored:
+                source = self.handle
+                source.seek(info.header_offset)
+                local = source.read(30)
+                if len(local) != 30 or local[:4] != b"PK\x03\x04":
+                    raise zipfile.BadZipFile(f"bad local header for member '{info.filename}'")
+                # general-purpose flags at byte 6, name and extra-field lengths at 26 and 28
+                flags, n_name, n_extra = struct.unpack("<6xH18xHH", local)
+                name = source.read(n_name).decode("utf-8" if flags & 0x800 else "cp437")
+                if name != info.orig_filename:
+                    raise zipfile.BadZipFile(f"member name in directory {info.orig_filename!r} "
+                                             f"and header {name!r} differ")
+                start = info.header_offset + 30 + n_name + n_extra
+                source.seek(start)
+            else:
+                source, start = stack.enter_context(self.archive.open(info)), 0
             header = {(1, 0): fmt.read_array_header_1_0,
-                      (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(handle))
+                      (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(source))
             if header is None:
                 raise ValueError(f"member '{info.filename}' has an unsupported npy version")
-            shape, fortran_order, dtype = header(handle)
+            found, fortran_order, dtype = header(source)
             if dtype.hasobject:
                 raise ValueError("object arrays cannot be loaded")
-            n_header = handle.tell() - start
-            nbytes = math.prod(shape) * dtype.itemsize
-            if (n_header + nbytes != info.file_size or info.compress_size != info.file_size
+            n_header = source.tell() - start
+            nbytes = math.prod(found) * dtype.itemsize
+            if n_header + nbytes != info.file_size or stored and (
+                    info.compress_size != info.file_size
                     or start + info.file_size > self.size):
                 raise zipfile.BadZipFile(
                     f"member '{info.filename}' holds {info.file_size} bytes, but its npy "
                     f"header declares {n_header} + {nbytes}")
-
-        def read():
-            with _reading(self.path):
-                handle.seek(start)
-                crc = zlib.crc32(handle.read(n_header))
-                data = np.empty(nbytes, dtype=np.uint8)
-                if handle.readinto(data) != nbytes:
-                    raise EOFError(f"member '{info.filename}' is truncated")
-                if zlib.crc32(data, crc) != info.CRC:
-                    raise zipfile.BadZipFile(f"Bad CRC-32 for file '{info.filename}'")
-                arr = data.view(dtype)
-                return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
-
-        return shape, read
+            if shape is not None and found != shape:
+                raise ConfigError(f"checkpoint parameter '{key.removeprefix('p:')}' has "
+                                  f"shape {found}, expected {shape}")
+            data = np.empty(nbytes, dtype=np.uint8)
+            if stored:
+                source.seek(start)
+                crc = zlib.crc32(source.read(n_header))
+            if source.readinto(data) != nbytes:
+                raise EOFError(f"member '{info.filename}' is truncated")
+            if stored and zlib.crc32(data, crc) != info.CRC:
+                raise zipfile.BadZipFile(f"Bad CRC-32 for file '{info.filename}'")
+        arr = data.view(dtype)
+        return arr.reshape(found[::-1]).T if fortran_order else arr.reshape(found)
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint, validating version, names, shapes and completeness.
 
-    The file is read a member at a time (``_Npz``): ``__meta__`` first, then,
-    once the config and its block count are checked, each parameter when the
-    build asks for it, after its npy header matches the shape the model
-    expects, so a header that claims more than its member holds allocates
-    nothing. A load holds the model's parameters plus the one array being
-    read, which is dropped once ``Param`` has copied it. Unreadable or damaged
-    bytes (text, a truncated file, a failed CRC) are a ``DataError``; a
-    readable file that is not a checkpoint of a buildable model is a
-    ``ConfigError``. Both name the file.
+    The file is read a member at a time (``_Npz.read``): ``__meta__`` first,
+    then, once the config and its block count are checked, each parameter when
+    the build asks for it, after its npy header, stored or compressed, matches
+    its member's size and the shape the model expects, so a header that claims
+    more allocates nothing. A load holds the model's parameters plus the one
+    array being read, which is dropped once ``Param`` has copied it.
+    Unreadable or damaged bytes (text, a truncated file, a failed CRC, a
+    broken deflate stream) are a ``DataError``; a readable file that is not a
+    checkpoint of a buildable model is a ``ConfigError``. Both name the file.
     """
     with _reading(path):
         handle = open(path, "rb")
@@ -560,8 +558,7 @@ def load_checkpoint(path):
         npz = _Npz(path, handle)
         if "__meta__" not in npz.members:
             raise ConfigError(f"'{path}' is not a model checkpoint (missing metadata)")
-        _, read_meta = npz.open("__meta__")
-        meta_bytes = bytes(read_meta())
+        meta_bytes = bytes(npz.read("__meta__"))
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
             version = meta.get("version")
@@ -581,16 +578,14 @@ def load_checkpoint(path):
                                       f"{len(prefixes)}")
 
             def stored(name, fan_in, shape):
-                # each array is checked before it is read, so a bad file allocates nothing
                 if name not in shapes:
                     raise ConfigError(f"checkpoint is missing parameter '{name}' of its model")
                 if "p:" + name not in npz.members:
                     raise ConfigError(f"checkpoint parameter '{name}' has no array")
-                found, read = npz.open("p:" + name)
-                if found != shape or list(shape) != shapes[name]:
-                    raise ConfigError(f"checkpoint parameter '{name}' has shape {found}, "
-                                      f"expected {shape}")
-                return read()
+                if list(shape) != shapes[name]:
+                    raise ConfigError(f"checkpoint parameter '{name}' has shape "
+                                      f"{tuple(shapes[name])}, expected {shape}")
+                return npz.read("p:" + name, shape)
 
             model = _assemble(config, stored)
         except ConfigError as exc:

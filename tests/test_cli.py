@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +300,25 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: ")
         assert (message or "an allocation failed") in err
+
+    def test_the_parser_is_built_once_per_process(self, workspace, monkeypatch):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        assert main(["train", data, "--config", config, "--out", str(run), "--seed", "6"]) == 0
+        windows = []
+        forecast = cli.cmd_forecast
+        monkeypatch.setattr(cli, "cmd_forecast",
+                            lambda args: windows.append(args.window) or forecast(args))
+        cli.build_parser.cache_clear()  # the next parser binds the spy
+        try:
+            for window in (["--window", "0"], []):
+                assert main(["forecast", data, "--config", config, "--checkpoints",
+                             str(run / "checkpoints"), "--out", str(tmp_path / "fc.csv"),
+                             *window]) == 0
+            assert cli.build_parser.cache_info().misses == 1
+        finally:
+            cli.build_parser.cache_clear()  # no later test parses with the spy
+        assert windows == [0, -1]
 
 
 class TestTrain:
@@ -688,6 +709,29 @@ class TestForecastAndDecompose:
         out = tmp_path / "fc.csv"
         assert main(["forecast", data, "--config", config, "--checkpoints",
                      str(run / "checkpoints"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint '{ckpt}': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "decompose"])
+    def test_compressed_header_claiming_2_to_the_40_elements_exit_two(self, workspace, capsys,
+                                                                      command):
+        tmp_path, config, data = workspace
+        run = tmp_path / "run"
+        main(["train", data, "--config", config, "--out", str(run), "--seed", "6"])
+        ckpt = run / "checkpoints" / "member_0.npz"
+        with zipfile.ZipFile(ckpt) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        key = "p:s0.b0.mlp0.weight.npy"
+        npy = members[key]
+        end = 10 + int.from_bytes(npy[8:10], "little")  # the version 1.0 header's end
+        text = re.sub(rb"'shape': \([^)]*\)", f"'shape': ({2 ** 40},)".encode(), npy[10:end])
+        members[key] = npy[:10] + text.rstrip(b" \n").ljust(end - 11) + b"\n" + npy[end:]
+        with zipfile.ZipFile(ckpt, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, member in members.items():
+                archive.writestr(name, member)
+        flag = "--checkpoints" if command == "forecast" else "--checkpoint"
+        out = tmp_path / "out.csv"
+        assert main([command, data, "--config", config, flag, str(ckpt), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint '{ckpt}': ")
         assert not out.exists()
 

@@ -2,7 +2,9 @@
 sweep at --jobs 2 has the bytes it has at --jobs 1, also on the long-800
 variant, whose products OpenBLAS rounds differently at one and two threads,
 on the nbeats-i variant, whose single windows go through dense bases, and on
-the h96 variant, whose interpolation bands span more than one chunk."""
+the h96 variant, whose interpolation bands span more than one chunk; and
+``forecast`` and ``decompose`` on members re-saved with ``np.savez_compressed``
+write the bytes they write on the members as saved."""
 
 import subprocess
 import sys
@@ -41,6 +43,8 @@ def test_every_output_is_identical_at_jobs_one_and_two(tmp_path):
                 f"{tag}/forecast.csv", f"{tag}/decompose.csv"} <= one.keys()
         assert (f"{tag}/evaluate/metrics.json" in one) == (tag not in ("nbeats-i", "h96"))
     assert {"data.csv", "search/trials.jsonl", "param-count.stdout"} <= one.keys()
+    for csv in ("forecast.csv", "decompose.csv"):
+        assert one[f"median-avg/compressed/{csv}"] == one[f"median-avg/{csv}"]
     for path in one:
         # A command's run config records the setting in its [run] jobs line.
         if "/" in path and path.endswith((".resolved", ".ini")):

@@ -6,7 +6,11 @@ with nothing raised, and only divergence may exit 3.
 section on one 400-row series (4 iterations, 1 member). No value asks for a
 large width, many members or many threads: the largest number is 30.
 
-``forecast`` and ``decompose`` run a checkpoint with every leaf of its
+``forecast``, ``decompose`` and ``evaluate --checkpoints`` run every key of
+every section on an untrained 2-block dmidas checkpoint that matches the
+unedited config; with no training, each must exit 0, 1 or 2.
+
+``forecast`` and ``decompose`` also run a checkpoint with every leaf of its
 metadata (version, config and parameter records) set to each of a shorter
 list of JSON values; each must exit 0, 1 or 2.
 """
@@ -43,6 +47,8 @@ HOSTILE = (
 
 # Diverging (a huge step or penalty) is a training error, exit 3; nothing else is.
 MAY_DIVERGE = {("training", "lr"), ("training", "l1_lambda")}
+
+EVERY_KEY = sorted((section, key) for section, keys in CONFIG_SCHEMA.items() for key in keys)
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +93,32 @@ def test_param_count_exits_zero_one_or_two(tmp_path, key):
     assert _broken(outcomes, {0, 1, 2}) == {}
 
 
-@pytest.mark.parametrize("section, key", sorted((section, key)
-                                                for section, keys in CONFIG_SCHEMA.items()
-                                                for key in keys))
+@pytest.mark.parametrize("section, key", EVERY_KEY)
 def test_train_exits_zero_one_or_two_unless_it_diverges(tmp_path, series_csv, section, key):
     allowed = {0, 1, 2, 3} if (section, key) in MAY_DIVERGE else {0, 1, 2}
     outcomes = _sweep(tmp_path, section, key, lambda config, out: [
         "train", series_csv, "--config", config, "--out", out])
     assert _broken(outcomes, allowed) == {}
+
+
+@pytest.fixture(scope="module")
+def member(tmp_path_factory):
+    """An untrained 2-block dmidas checkpoint whose model matches ``BASE``."""
+    path = tmp_path_factory.mktemp("member") / "member_0.npz"
+    spec = ModelSpec(name="dmidas", kind="dmidas", blocks_per_stack=2, mlp_widths=(8,))
+    save_checkpoint(build_any(model_config_for(spec, 24, 8), 0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag", [("forecast", "--checkpoints"),
+                                           ("decompose", "--checkpoint"),
+                                           ("evaluate", "--checkpoints")])
+@pytest.mark.parametrize("section, key", EVERY_KEY)
+def test_checkpoint_commands_exit_zero_one_or_two(tmp_path, series_csv, member, command, flag,
+                                                  section, key):
+    outcomes = _sweep(tmp_path, section, key, lambda config, out: [
+        command, series_csv, "--config", config, flag, member, "--out", out])
+    assert _broken(outcomes, {0, 1, 2}) == {}
 
 
 # JSON values for a checkpoint's metadata leaves; none exceeds 30.
@@ -111,13 +135,10 @@ def _leaves(node, path=()):
 
 
 @pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    """The metadata and arrays of an untrained 2-block dmidas checkpoint whose
-    model matches ``BASE``, and a config that reads it."""
+def checkpoint(tmp_path_factory, member):
+    """The metadata and arrays of ``member``, and a config that reads it."""
     root = tmp_path_factory.mktemp("ckpt")
-    spec = ModelSpec(name="dmidas", kind="dmidas", blocks_per_stack=2, mlp_widths=(8,))
-    save_checkpoint(build_any(model_config_for(spec, 24, 8), 0), root / "m.npz")
-    with np.load(root / "m.npz") as npz:
+    with np.load(member) as npz:
         meta = json.loads(bytes(npz["__meta__"]).decode())
         arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
     config = root / "run.ini"

@@ -1,6 +1,8 @@
 """Stacked model: residual wiring, schedules, parameter accounting, checkpoints."""
 
 import json
+import re
+import struct
 import sys
 import tracemalloc
 import zipfile
@@ -704,17 +706,35 @@ def _npy_header_span(path, key):
     return start, start + 10 + n_header
 
 
-def _rewrite_npy_header(path, key, old, new):
-    """Replace ``old`` with ``new`` in member ``key``'s npy header text, padding
-    with spaces so that the header keeps its length (its CRC then fails)."""
-    raw = bytearray(path.read_bytes())
-    start, end = _npy_header_span(path, key)
-    text = bytes(raw[start + 10:end])
+def _edited_npy_header(npy, old, new):
+    """``npy`` (magic, version 1.0 header, then any data) with ``old`` replaced by
+    ``new`` in its header text, padded with spaces so that the header keeps its
+    length."""
+    end = 10 + int.from_bytes(npy[8:10], "little")
+    text = npy[10:end]
     assert old in text
     edited = text.replace(old, new).rstrip(b" \n")
     assert len(edited) < len(text)
-    raw[start + 10:end] = edited.ljust(len(text) - 1) + b"\n"
-    path.write_bytes(bytes(raw))
+    return npy[:10] + edited.ljust(len(text) - 1) + b"\n" + npy[end:]
+
+
+def _rewrite_npy_header(path, key, old, new, member="stored"):
+    """Replace ``old`` with ``new`` in member ``key``'s npy header text. A
+    ``stored`` member is edited in place (its CRC then fails); with
+    ``compressed``, every member is written again deflated, with a CRC that
+    holds."""
+    if member == "stored":
+        raw = bytearray(path.read_bytes())
+        start, end = _npy_header_span(path, key)
+        raw[start:end] = _edited_npy_header(bytes(raw[start:end]), old, new)
+        path.write_bytes(bytes(raw))
+        return
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[key + ".npy"] = _edited_npy_header(members[key + ".npy"], old, new)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
 
 
 class TestCheckpointReads:
@@ -761,6 +781,31 @@ class TestCheckpointReads:
             with pytest.raises(DataError, match=r"cannot read checkpoint '.*member_0\.npz'"):
                 load_checkpoint(path)
 
+    def test_every_flipped_byte_of_compressed_data_is_a_data_error_or_no_change(self, tmp_path):
+        path = tmp_path / "member_0.npz"
+        model = build_any(MlpConfig(32, 8, (16,)), seed=0)
+        save_checkpoint(model, path)
+        _resave(path, savez=np.savez_compressed)
+        good = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("p:mlp0.weight.npy")
+        # the data follows the 30-byte local header, the name and the extra field
+        local = info.header_offset
+        n_name, n_extra = struct.unpack("<HH", good[local + 26:local + 30])
+        start = local + 30 + n_name + n_extra
+        assert info.compress_type == zipfile.ZIP_DEFLATED and info.compress_size > 3000
+        for at in range(start, start + info.compress_size):
+            raw = bytearray(good)
+            raw[at] ^= 0xFF
+            path.write_bytes(bytes(raw))
+            try:
+                restored = load_checkpoint(path)
+            except DataError as exc:
+                assert re.match(r"cannot read checkpoint '.*member_0\.npz'", str(exc)), at
+                continue
+            for name, p in model.params.items():
+                assert restored.params[name].value.tobytes() == p.value.tobytes(), at
+
     @staticmethod
     def large_checkpoint(path):
         """An MLP whose first weight is 2 MiB of the file's ~2.1 MiB."""
@@ -778,11 +823,12 @@ class TestCheckpointReads:
         finally:
             tracemalloc.stop()
 
-    def test_a_header_claiming_2_to_the_40_elements_allocates_nothing(self, tmp_path):
+    @pytest.mark.parametrize("member", ["stored", "compressed"])
+    def test_a_header_claiming_2_to_the_40_elements_allocates_nothing(self, tmp_path, member):
         path = tmp_path / "m.npz"
         size = self.large_checkpoint(path)
         _rewrite_npy_header(path, "p:mlp0.weight", b"'shape': (256, 1024)",
-                            f"'shape': ({2 ** 40},)".encode())
+                            f"'shape': ({2 ** 40},)".encode(), member)
         assert self.rejected_peak(path, DataError) < size // 4
 
     def test_a_local_header_name_unlike_the_directory_allocates_nothing(self, tmp_path):

@@ -23,7 +23,10 @@ a ``.stdout`` file beside its outputs:
 - for one dmidas variant on the long series at H = 96 (``h96``: 288 lags
   and holdouts of 96, so its forecast and backcast bands span two and five
   64-step chunks): the same commands but ``evaluate``;
-- ``search --budget 2`` and ``param-count`` on the first variant.
+- ``search --budget 2`` and ``param-count`` on the first variant;
+- ``forecast`` and ``decompose`` on the first variant's two members re-saved
+  with ``np.savez_compressed`` (``median-avg/compressed``), whose CSVs must
+  have the bytes of the stored members' CSVs.
 
 ``--jobs`` goes to every command that takes it. ``trials.jsonl`` is digested
 without its ``wall_time`` field, which is the only output that depends on
@@ -44,6 +47,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # name: (length, components); every series but "long" is merged into data.csv
 SPECS = {
@@ -103,35 +108,52 @@ GENERATE = [(f"generate-{name}", ["generate", f"{name}.json", "--out", f"{name}.
                                   "--seed", "3"]) for name in SPECS]
 
 
+def common(tag: str, jobs: int) -> list[str]:
+    """The data, config, seed and jobs arguments of variant ``tag``'s commands."""
+    return [VARIANTS[tag][0], "--config", f"{tag}.ini", "--seed", "5", "--jobs", str(jobs)]
+
+
+def serving(common_args: list[str], checkpoints: str, out: str) -> list[tuple[str, list[str]]]:
+    """``forecast`` and ``decompose`` of the members under ``checkpoints``, into ``out``."""
+    return [
+        (f"{out}/forecast", ["forecast", *common_args, "--checkpoints", checkpoints,
+                             "--out", f"{out}/forecast.csv"]),
+        (f"{out}/decompose", ["decompose", *common_args, "--checkpoint",
+                              f"{checkpoints}/member_0.npz", "--out", f"{out}/decompose.csv"]),
+    ]
+
+
 def commands(jobs: int) -> list[tuple[str, list[str]]]:
     """(stdout file, argv) on the merged CSV, in run order; paths are relative
     to the output directory."""
-    run = ["--jobs", str(jobs)]
     steps = []
-    for tag, (data, *_) in VARIANTS.items():
-        common = [data, "--config", f"{tag}.ini", "--seed", "5"] + run
-        steps.append((f"{tag}/train", ["train", *common, "--out", f"{tag}/train"]))
+    for tag in VARIANTS:
+        args = common(tag, jobs)
+        steps.append((f"{tag}/train", ["train", *args, "--out", f"{tag}/train"]))
         # The dmidas variants already train nbeats-i's column, and h96 sweeps
         # the commands that load or train one dmidas ensemble.
         if tag not in ("nbeats-i", "h96"):
-            steps.append((f"{tag}/evaluate", ["evaluate", *common, "--out", f"{tag}/evaluate"]))
-        steps += [
-            (f"{tag}/evaluate-checkpoints",
-             ["evaluate", *common, "--checkpoints", f"{tag}/train/checkpoints",
-              "--out", f"{tag}/evaluate-checkpoints"]),
-            (f"{tag}/forecast", ["forecast", *common, "--checkpoints", f"{tag}/train/checkpoints",
-                                 "--out", f"{tag}/forecast.csv"]),
-            (f"{tag}/decompose", ["decompose", *common, "--checkpoint",
-                                  f"{tag}/train/checkpoints/member_0.npz",
-                                  "--out", f"{tag}/decompose.csv"]),
-        ]
+            steps.append((f"{tag}/evaluate", ["evaluate", *args, "--out", f"{tag}/evaluate"]))
+        steps.append((f"{tag}/evaluate-checkpoints",
+                      ["evaluate", *args, "--checkpoints", f"{tag}/train/checkpoints",
+                       "--out", f"{tag}/evaluate-checkpoints"]))
+        steps += serving(args, f"{tag}/train/checkpoints", tag)
     first = next(iter(VARIANTS))
     steps += [
         ("search", ["search", "data.csv", "--config", f"{first}.ini", "--seed", "5",
-                    "--budget", "2", "--out", "search"] + run),
+                    "--budget", "2", "--out", "search", "--jobs", str(jobs)]),
         ("param-count", ["param-count", "--config", f"{first}.ini"]),
     ]
     return steps
+
+
+def resave_compressed(source: str, target: str) -> None:
+    """Write each ``member_*.npz`` under ``source`` again with ``np.savez_compressed``
+    into the new directory ``target``."""
+    Path(target).mkdir()
+    for path in sorted(Path(source).glob("member_*.npz")):
+        with np.load(path) as npz:
+            np.savez_compressed(Path(target) / path.name, **{key: npz[key] for key in npz.files})
 
 
 def run_all(cli, steps) -> bool:
@@ -200,6 +222,11 @@ def main(argv=None) -> int:
         return 1
     merge_series()
     if not run_all(cli, commands(args.jobs)):
+        return 1
+    first = next(iter(VARIANTS))
+    resave_compressed(f"{first}/train/checkpoints", f"{first}/compressed")
+    if not run_all(cli, serving(common(first, args.jobs), f"{first}/compressed",
+                                f"{first}/compressed")):
         return 1
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.as_posix()}")
